@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -33,17 +35,23 @@ from .oracle import SuiteConfig, run_suite
 from .parabolic import build_flag, canonical_divisor
 from .rootsys import build_root_system
 
-DESCRIPTOR_KEYS = {
+# in the order the "input" echo lists them
+DESCRIPTOR_KEYS = (
     "lie_family", "rank", "theta", "class", "divisor",
     "t", "samples", "t_max_fraction",
-}
+)
+# BoundsReport attributes under each flow sample's "bounds", in output order
+BOUND_KEYS = (
+    "R_lower", "R_upper", "ricci_norm_sq_lower", "ricci_norm_sq_upper",
+    "vol_coeff_lower", "vol_coeff_upper", "within", "r_upper_attained", "rm_bound",
+)
 CSV_HEADER = ["t", "R", "ricci_norm_sq", "vol_coeff", "R_lower", "R_upper"]
 DEFAULT_SAMPLES = 10
 DEFAULT_T_MAX_FRACTION = "99/100"
 
 
-def rat(x) -> str:
-    return str(Fraction(x))
+class UsageError(Exception):
+    """Malformed or contradictory request; the CLI exits 2."""
 
 
 def parse_rational(text) -> Fraction:
@@ -51,10 +59,6 @@ def parse_rational(text) -> Fraction:
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational number: {text!r}") from exc
-
-
-def dec12(x: Fraction) -> str:
-    return format(float(x), ".12g")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,9 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_descriptor(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--type", dest="family", choices=list("ABCDEFG"),
+        p.add_argument("--type", dest="lie_family", choices=list("ABCDEFG"),
                        help="simple Lie family")
-        p.add_argument("--rank", type=int)
+        p.add_argument("--rank", help="rank of the Lie family (an integer)")
         p.add_argument("--theta", default=None,
                        help="comma-separated 1-based simple-root indices "
                             "(default: empty, the Borel case)")
@@ -85,12 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="flow trajectory, curvature and bounds")
     add_descriptor(p)
-    p.add_argument("--class", dest="kclass",
+    p.add_argument("--class", dest="class",
                    help="comma-separated rationals: initial Kahler class")
     p.add_argument("--divisor",
                    help="comma-separated rationals: start at the divisor class b = d")
     p.add_argument("--t", help="single evaluation time (rational)")
-    p.add_argument("--samples", type=int,
+    p.add_argument("--samples",
                    help=f"trajectory sample count (default {DEFAULT_SAMPLES})")
     p.add_argument("--t-max-fraction", dest="t_max_fraction",
                    help=f"sample up to this fraction of T (default {DEFAULT_T_MAX_FRACTION})")
@@ -109,194 +113,222 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_list(value) -> list[str] | None:
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)):
-        return [str(v) for v in value]
-    return [part.strip() for part in str(value).split(",") if part.strip()]
-
-
-def resolve_descriptor(args, parser: argparse.ArgumentParser) -> dict:
-    """Merge --job and flag input into one descriptor dict."""
-    if args.job:
-        flag_fields = (args.family, args.rank, args.theta,
-                       getattr(args, "kclass", None), getattr(args, "divisor", None),
-                       getattr(args, "t", None), getattr(args, "samples", None),
-                       getattr(args, "t_max_fraction", None))
-        if any(v is not None for v in flag_fields):
-            parser.error("--job cannot be combined with descriptor flags")
-        try:
-            with open(args.job, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read job file: {exc}")
-        unknown = set(data) - DESCRIPTOR_KEYS
-        if unknown:
-            parser.error(f"unknown job fields: {sorted(unknown)}")
-    else:
-        data = {
-            "lie_family": args.family,
-            "rank": args.rank,
-            "theta": _split_list(args.theta) or [],
-            "class": _split_list(getattr(args, "kclass", None)),
-            "divisor": _split_list(getattr(args, "divisor", None)),
-            "t": getattr(args, "t", None),
-            "samples": getattr(args, "samples", None),
-            "t_max_fraction": getattr(args, "t_max_fraction", None),
-        }
-        data = {k: v for k, v in data.items() if v is not None}
-    if data.get("lie_family") is None or data.get("rank") is None:
-        parser.error("--type and --rank are required (or provide them via --job)")
-    data.setdefault("theta", [])
+def _integer(name: str, value) -> int:
     try:
-        data["rank"] = int(data["rank"])
-        data["theta"] = [int(i) for i in data["theta"]]
-    except (TypeError, ValueError):
-        parser.error("rank and theta entries must be integers")
-    return data
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return int(value)
+    except ValueError:
+        pass
+    raise UsageError(f"{name} must be an integer, got {value!r}")
+
+
+def _items(name: str, value) -> list:
+    if isinstance(value, str):
+        return [part.strip() for part in value.split(",") if part.strip()]
+    if isinstance(value, list):
+        return value
+    raise UsageError(f"{name} must be a list or a comma-separated string, got {value!r}")
+
+
+def _indices(name: str, value) -> list[int]:
+    out = [_integer(name, v) for v in _items(name, value)]
+    if len(set(out)) < len(out):
+        raise UsageError(f"{name} lists an index twice: {value!r}")
+    return out
+
+
+# typed fields; t and t_max_fraction stay as given and are parsed where used
+READERS = {
+    "rank": _integer,
+    "theta": _indices,
+    "class": _items,
+    "divisor": _items,
+    "samples": _integer,
+}
+
+
+def _read_job(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read job file: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"job file must hold a JSON object, got {type(data).__name__}")
+    unknown = set(data) - set(DESCRIPTOR_KEYS)
+    if unknown:
+        raise UsageError(f"unknown job fields: {sorted(unknown)}")
+    return {key: value for key, value in data.items() if value is not None}
+
+
+def read_descriptor(args) -> dict:
+    """The one validation point: flags or a --job object to a checked descriptor.
+
+    Both sources are read alike: list fields take a list or a comma-separated
+    string, integer fields an integer or its decimal string. Rationals are
+    kept as given, so the "input" echo shows them verbatim.
+    """
+    given = {key: getattr(args, key, None) for key in DESCRIPTOR_KEYS}
+    given = {key: value for key, value in given.items() if value is not None}
+    if args.job:
+        if given:
+            raise UsageError("--job cannot be combined with descriptor flags")
+        desc = _read_job(args.job)
+        desc.setdefault("theta", [])
+    else:
+        desc = {"lie_family": None, "rank": None, "theta": [], **given}
+    if not isinstance(desc.get("lie_family"), str) or desc.get("rank") is None:
+        raise UsageError("--type and --rank are required "
+                         "(in a job file: lie_family, a string, and rank)")
+    for key, read in READERS.items():
+        if key in desc:
+            desc[key] = read(key, desc[key])
+
+    if args.command == "flow":
+        if ("class" in desc) == ("divisor" in desc):
+            raise UsageError("provide exactly one of --class or --divisor")
+        if "t" in desc and "samples" in desc:
+            raise UsageError("--t and --samples are mutually exclusive")
+        if desc.get("samples", 1) < 1:
+            raise UsageError("--samples must be at least 1")
+        if args.format == "csv" and not args.output:
+            raise UsageError("--format csv requires --output "
+                             "(the exact-value sidecar is written next to it)")
+    if args.command == "invariants" and "divisor" not in desc:
+        raise UsageError("invariants requires --divisor")
+    return desc
+
+
+def _exact(value) -> str:
+    """json.dumps hook: an exact rational becomes "p/q"."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _emit(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact values are printed in full, at any length
+    try:
+        text = json.dumps(doc, indent=2, default=_exact)
+    finally:
+        sys.set_int_max_str_digits(limit)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(output, text + "\n")
     else:
         print(text)
 
 
+def _decimal(name: str, x: Fraction) -> str:
+    try:
+        return format(float(x), ".12g")
+    except OverflowError:
+        raise DomainError(f"CSV column {name} is out of float range") from None
+
+
+def _csv_text(samples: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    for s in samples:
+        cells = {**s, **s["bounds"]}
+        writer.writerow([_decimal(name, cells[name]) for name in CSV_HEADER])
+    return buf.getvalue()
+
+
 def cmd_describe(flag) -> dict:
     rs = flag.rs
-    v0 = volume(make_flow(flag, tuple(Fraction(l) for l in flag.fano)), 0)
     return {
         "family": rs.family,
         "rank": rs.rank,
-        "theta": list(flag.theta),
-        "complement": list(flag.complement),
+        "theta": flag.theta,
+        "complement": flag.complement,
         "n": flag.n,
-        "positive_roots": [list(k) for k in rs.positive_roots],
-        "comp_pos_root_indices": list(flag.comp_pos_roots),
-        "comp_pos_roots": [list(rs.positive_roots[i]) for i in flag.comp_pos_roots],
+        "positive_roots": rs.positive_roots,
+        "comp_pos_root_indices": flag.comp_pos_roots,
+        "comp_pos_roots": [rs.positive_roots[i] for i in flag.comp_pos_roots],
         "delta_p": [int(c) for c in flag.delta_p],
-        "fano": list(flag.fano),
+        "fano": flag.fano,
         "canonical_divisor": [int(c) for c in canonical_divisor(flag)],
-        "v0_coeff": rat(v0.coeff),
+        "v0_coeff": volume(make_flow(flag, flag.fano), 0).coeff,
     }
 
 
-def _flow_times(fs, desc: dict, parser) -> list[Fraction]:
-    if desc.get("t") is not None:
-        if desc.get("samples") is not None:
-            parser.error("--t and --samples are mutually exclusive")
+def _flow_times(fs, desc: dict) -> list[Fraction]:
+    if "t" in desc:
         return [parse_rational(desc["t"])]
-    count = int(desc.get("samples") or DEFAULT_SAMPLES)
-    if count < 1:
-        parser.error("--samples must be at least 1")
-    fraction = parse_rational(desc.get("t_max_fraction") or DEFAULT_T_MAX_FRACTION)
+    count = desc.get("samples", DEFAULT_SAMPLES)
+    fraction = parse_rational(desc.get("t_max_fraction", DEFAULT_T_MAX_FRACTION))
     if not 0 < fraction < 1:
         raise DomainError(f"t-max-fraction must lie in (0,1), got {fraction}")
-    if count == 1:
-        return [Fraction(0)]
-    return [fs.T * fraction * j / (count - 1) for j in range(count)]
+    return [fs.T * fraction * j / max(count - 1, 1) for j in range(count)]
 
 
-def cmd_flow(flag, desc: dict, parser) -> tuple[dict, list[dict]]:
-    kclass = desc.get("class")
-    divisor = desc.get("divisor")
-    if (kclass is None) == (divisor is None):
-        parser.error("provide exactly one of --class or --divisor")
-    b = tuple(parse_rational(s) for s in (kclass if kclass is not None else divisor))
+def _flow_sample(fs, t: Fraction) -> dict:
+    rep = bounds_report(fs, t)
+    lam_lo, lam_hi = lambda1_bounds(fs, t)
+    return {
+        "t": t,
+        "class": class_at(fs, t),
+        "R": rep.R,
+        "ricci_norm_sq": rep.ricci_norm_sq,
+        "vol_coeff": rep.vol_coeff,
+        "lambda1_lower": lam_lo,
+        "lambda1_upper": lam_hi,
+        "bounds": {key: getattr(rep, key) for key in BOUND_KEYS},
+    }
+
+
+def cmd_flow(flag, desc: dict) -> dict:
+    b = tuple(parse_rational(s) for s in desc.get("class", desc.get("divisor")))
     fs = make_flow(flag, b)
-    times = _flow_times(fs, desc, parser)
-
-    samples = []
-    for t in times:
-        rep = bounds_report(fs, t)
-        lam_lo, lam_hi = lambda1_bounds(fs, t)
-        samples.append({"t": t, "class": class_at(fs, t), "rep": rep,
-                        "lambda1": (lam_lo, lam_hi)})
-
     c_const = ricci_lower_constant(fs)
     diam_value, diam_radicand = diameter_bound(fs)
     result = {
         "family": flag.rs.family,
         "rank": flag.rs.rank,
-        "theta": list(flag.theta),
+        "theta": flag.theta,
         "n": flag.n,
-        "T": rat(fs.T),
+        "T": fs.T,
         "einstein": fs.einstein,
-        "ricci_lower_constant": rat(c_const),
-        "ricci_lower_bound": rat(1 / c_const),
-        "diameter_upper": {"radicand": rat(diam_radicand), "value": diam_value},
-        "samples": [
-            {
-                "t": rat(s["t"]),
-                "class": [rat(x) for x in s["class"]],
-                "R": rat(s["rep"].R),
-                "ricci_norm_sq": rat(s["rep"].ricci_norm_sq),
-                "vol_coeff": rat(s["rep"].vol_coeff),
-                "lambda1_lower": rat(s["lambda1"][0]),
-                "lambda1_upper": rat(s["lambda1"][1]),
-                "bounds": {
-                    "R_lower": rat(s["rep"].R_lower),
-                    "R_upper": rat(s["rep"].R_upper),
-                    "ricci_norm_sq_lower": rat(s["rep"].ricci_norm_sq_lower),
-                    "ricci_norm_sq_upper": rat(s["rep"].ricci_norm_sq_upper),
-                    "vol_coeff_lower": rat(s["rep"].vol_coeff_lower),
-                    "vol_coeff_upper": rat(s["rep"].vol_coeff_upper),
-                    "within": s["rep"].within,
-                    "r_upper_attained": s["rep"].r_upper_attained,
-                    "rm_bound": s["rep"].rm_bound,
-                },
-            }
-            for s in samples
-        ],
+        "ricci_lower_constant": c_const,
+        "ricci_lower_bound": 1 / c_const,
+        "diameter_upper": {"radicand": diam_radicand, "value": diam_value},
+        "samples": [_flow_sample(fs, t) for t in _flow_times(fs, desc)],
     }
     if fs.einstein:
         result["R_times_T_minus_t"] = str(flag.n)
-    csv_rows = [
-        [dec12(s["t"]), dec12(s["rep"].R), dec12(s["rep"].ricci_norm_sq),
-         dec12(s["rep"].vol_coeff), dec12(s["rep"].R_lower), dec12(s["rep"].R_upper)]
-        for s in samples
-    ]
-    return result, csv_rows
-
-
-def cmd_invariants(flag, desc: dict, parser, lct_m: int | None) -> dict:
-    divisor = desc.get("divisor")
-    if divisor is None:
-        parser.error("invariants requires --divisor")
-    d = tuple(parse_rational(s) for s in divisor)
-    rep = invariants_of(flag, d)
-    result = {
-        "tau": rat(rep.tau),
-        "T": rat(rep.T_script),
-        "C": rat(rep.C_script),
-        "degree": rat(rep.degree),
-        "dimV": rep.dimV,
-        "lambda1_lower": rat(rep.lambda1_lower),
-        "lambda1_upper": None if rep.lambda1_upper is None else rat(rep.lambda1_upper),
-    }
-    if rep.borel is not None:
-        result["borel_only_bounds"] = {
-            "seshadri_upper": rat(rep.borel.seshadri_upper),
-            "gromov_width_upper": rat(rep.borel.gromov_width_upper),
-            "kahler_radius_upper": rep.borel.kahler_radius_upper,
-            "sympl_radius_upper": rat(rep.borel.sympl_radius_upper),
-        }
-    if lct_m is not None:
-        lct = lct_lower(flag, d, lct_m)
-        result["lct"] = {
-            "m": lct_m,
-            "bound": rat(lct.bound),
-            "klt": lct.klt,
-            "lc": lct.lc,
-        }
     return result
 
 
-def _dispatch(args, parser: argparse.ArgumentParser) -> int:
+def cmd_invariants(flag, desc: dict, lct_m: int | None) -> dict:
+    d = tuple(parse_rational(s) for s in desc["divisor"])
+    rep = invariants_of(flag, d)
+    result = {
+        "tau": rep.tau,
+        "T": rep.T_script,
+        "C": rep.C_script,
+        "degree": rep.degree,
+        "dimV": rep.dimV,
+        "lambda1_lower": rep.lambda1_lower,
+        "lambda1_upper": rep.lambda1_upper,
+    }
+    if rep.borel is not None:
+        result["borel_only_bounds"] = asdict(rep.borel)
+    if lct_m is not None:
+        result["lct"] = {"m": lct_m, **asdict(lct_lower(flag, d, lct_m))}
+    return result
+
+
+def _dispatch(args) -> int:
     if args.command == "check":
         report = run_suite(SuiteConfig(seed=args.seed))
         doc = {"input": {"seed": args.seed}, "result": report.as_dict(),
@@ -304,45 +336,31 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
         _emit(doc, args.output)
         return 0 if report.exact_ok else 1
 
-    desc = resolve_descriptor(args, parser)
-    rs = build_root_system(desc["lie_family"], desc["rank"])
-    flag = build_flag(rs, desc["theta"])
-
+    desc = read_descriptor(args)
+    flag = build_flag(build_root_system(desc["lie_family"], desc["rank"]), desc["theta"])
     if args.command == "describe":
-        doc = {"input": desc, "result": cmd_describe(flag), "version": __version__}
+        result = cmd_describe(flag)
+    elif args.command == "flow":
+        result = cmd_flow(flag, desc)
+    else:
+        result = cmd_invariants(flag, desc, args.lct_m)
+    doc = {"input": desc, "result": result, "version": __version__}
+    if args.format == "csv":
+        _write(args.output, _csv_text(result["samples"]))
+        _emit(doc, args.output + ".json")
+    else:
         _emit(doc, args.output)
-        return 0
-
-    if args.command == "flow":
-        result, csv_rows = cmd_flow(flag, desc, parser)
-        doc = {"input": desc, "result": result, "version": __version__}
-        if args.format == "csv":
-            if not args.output:
-                parser.error("--format csv requires --output "
-                             "(the exact-value sidecar is written next to it)")
-            with open(args.output, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(CSV_HEADER)
-                writer.writerows(csv_rows)
-            _emit(doc, args.output + ".json")
-        else:
-            _emit(doc, args.output)
-        return 0
-
-    if args.command == "invariants":
-        result = cmd_invariants(flag, desc, parser, args.lct_m)
-        doc = {"input": desc, "result": result, "version": __version__}
-        _emit(doc, args.output)
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _dispatch(args, parser)
+        try:
+            return _dispatch(args)
+        except UsageError as exc:
+            parser.error(str(exc))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except DomainError as exc:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .dimcount import weyl_dim
 from .errors import DomainError
-from .parabolic import DivisorClass, ParabolicFlag, char_of_divisor
+from .parabolic import DivisorClass, ParabolicFlag, char_of_divisor, require_length
 from .rootsys import pairing, rho_pairing
 
 # Kahler class coefficients b_alpha > 0, aligned with flag.complement
@@ -60,7 +60,7 @@ class ScaledVolume:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Exact two-sided bounds at one time, with verdicts."""
+    """Exact two-sided bounds at one time, with one verdict per bound."""
 
     R: Fraction
     R_lower: Fraction               # 1/(T-t)
@@ -71,16 +71,26 @@ class BoundsReport:
     vol_coeff: Fraction
     vol_coeff_lower: Fraction       # (1-t/T)^n * vol(0)
     vol_coeff_upper: Fraction       # (1-t/T) * vol(0)
-    within: bool
     r_upper_attained: bool          # exact equality R = n/(T-t), the Einstein case
     rm_bound: str = RM_BOUND_SYMBOLIC
+
+    def verdicts(self) -> dict[str, bool]:
+        """Whether each two-sided bound holds, by bound name."""
+        ric = self.ricci_norm_sq
+        return {
+            "scalar_bounds": self.R_lower <= self.R <= self.R_upper,
+            "ricci_bounds": self.ricci_norm_sq_lower <= ric <= self.ricci_norm_sq_upper,
+            "volume_sandwich": self.vol_coeff_lower <= self.vol_coeff <= self.vol_coeff_upper,
+        }
+
+    @property
+    def within(self) -> bool:
+        return all(self.verdicts().values())
 
 
 def make_flow(flag: ParabolicFlag, b: KahlerClass) -> FlowSolution:
     """Solve the flow for the initial class sum b_alpha * w_alpha."""
-    if len(b) != len(flag.complement):
-        raise DomainError(
-            f"class has {len(b)} coefficients; expected {len(flag.complement)}")
+    require_length(flag, b)
     b = tuple(Fraction(x) for x in b)
     if any(x <= 0 for x in b):
         raise DomainError("initial class not Kahler: all b_alpha must be positive")
@@ -118,54 +128,55 @@ def class_at(fs: FlowSolution, t) -> KahlerClass:
     return tuple(x - t * l for x, l in zip(fs.b0, fs.flag.fano))
 
 
+def _rates(fs: FlowSolution, ps) -> list[Fraction]:
+    """a_beta / P_beta, the terms of R."""
+    return [Fraction(a) / p for a, p in zip(fs.a, ps)]
+
+
+def _volume_coeff(fs: FlowSolution, ps) -> Fraction:
+    coeff = Fraction(1)
+    for idx, p in zip(fs.flag.comp_pos_roots, ps):
+        coeff *= p / rho_pairing(fs.flag.rs, idx)
+    return coeff
+
+
 def scalar_curvature(fs: FlowSolution, t) -> Fraction:
-    t = _check_time(fs, t)
-    return sum((Fraction(a) / p for a, p in zip(fs.a, p_values(fs, t))), Fraction(0))
+    return sum(_rates(fs, p_values(fs, _check_time(fs, t))), Fraction(0))
 
 
 def ricci_norm_sq(fs: FlowSolution, t) -> Fraction:
-    t = _check_time(fs, t)
-    return sum(((Fraction(a) / p) ** 2 for a, p in zip(fs.a, p_values(fs, t))), Fraction(0))
+    return sum((x * x for x in _rates(fs, p_values(fs, _check_time(fs, t)))), Fraction(0))
 
 
 def volume(fs: FlowSolution, t) -> ScaledVolume:
     """Vol(t) as coeff * (2 pi)^n; t = T is allowed (continuous limit)."""
     t = _check_time(fs, t, allow_T=True)
-    coeff = Fraction(1)
-    for idx, p in zip(fs.flag.comp_pos_roots, p_values(fs, t)):
-        coeff *= p / rho_pairing(fs.flag.rs, idx)
-    return ScaledVolume(coeff, fs.flag.n)
+    return ScaledVolume(_volume_coeff(fs, p_values(fs, t)), fs.flag.n)
 
 
 def bounds_report(fs: FlowSolution, t) -> BoundsReport:
-    """Evaluate the two-sided curvature and volume bounds exactly at t."""
+    """Evaluate the two-sided curvature and volume bounds exactly at t.
+
+    The P_beta(t) are evaluated once; vol(0) comes from the stored P_beta(0).
+    """
     t = _check_time(fs, t)
     n = fs.flag.n
     gap = fs.T - t
-    r = scalar_curvature(fs, t)
-    ric = ricci_norm_sq(fs, t)
-    v = volume(fs, t).coeff
-    v0 = volume(fs, 0).coeff
+    ps = p_values(fs, t)
+    rates = _rates(fs, ps)
+    r = sum(rates, Fraction(0))
+    v0 = _volume_coeff(fs, fs.p_const)
     shrink = 1 - t / fs.T
-    r_lower, r_upper = 1 / gap, Fraction(n) / gap
-    ric_lower, ric_upper = r * r / n, r * r
-    v_lower, v_upper = shrink ** n * v0, shrink * v0
-    within = (
-        r_lower <= r <= r_upper
-        and ric_lower <= ric <= ric_upper
-        and v_lower <= v <= v_upper
-    )
     return BoundsReport(
         R=r,
-        R_lower=r_lower,
-        R_upper=r_upper,
-        ricci_norm_sq=ric,
-        ricci_norm_sq_lower=ric_lower,
-        ricci_norm_sq_upper=ric_upper,
-        vol_coeff=v,
-        vol_coeff_lower=v_lower,
-        vol_coeff_upper=v_upper,
-        within=within,
+        R_lower=1 / gap,
+        R_upper=Fraction(n) / gap,
+        ricci_norm_sq=sum((x * x for x in rates), Fraction(0)),
+        ricci_norm_sq_lower=r * r / n,
+        ricci_norm_sq_upper=r * r,
+        vol_coeff=_volume_coeff(fs, ps),
+        vol_coeff_lower=shrink ** n * v0,
+        vol_coeff_upper=shrink * v0,
         r_upper_attained=(r * gap == n),
     )
 

@@ -21,7 +21,7 @@ from math import factorial
 
 from .dimcount import weyl_dim
 from .errors import DomainError
-from .flow import flow_of_divisor, scalar_curvature
+from .flow import flow_of_divisor, scalar_curvature, volume
 from .parabolic import (
     DivisorClass,
     ParabolicFlag,
@@ -29,7 +29,6 @@ from .parabolic import (
     is_integral,
     require_ample,
 )
-from .rootsys import pairing, rho_pairing
 
 
 @dataclass(frozen=True)
@@ -76,12 +75,9 @@ def script_C(flag: ParabolicFlag, coeffs: DivisorClass) -> Fraction:
 
 
 def degree(flag: ParabolicFlag, coeffs: DivisorClass) -> Fraction:
+    """n! times the volume coefficient of the flow started at D."""
     require_ample(flag, coeffs)
-    chi = char_of_divisor(flag, coeffs)
-    value = Fraction(factorial(flag.n))
-    for idx in flag.comp_pos_roots:
-        value *= pairing(flag.rs, chi, idx) / rho_pairing(flag.rs, idx)
-    return value
+    return factorial(flag.n) * volume(flow_of_divisor(flag, coeffs), 0).coeff
 
 
 def divisor_at(flag: ParabolicFlag, coeffs: DivisorClass, t) -> DivisorClass:

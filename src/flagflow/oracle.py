@@ -12,13 +12,14 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 from .dimcount import gt_count, weyl_dim
 from .flow import (
     FlowSolution,
+    bounds_report,
     make_flow,
     p_values,
     ricci_norm_sq,
@@ -88,22 +89,22 @@ class SuiteReport:
         }
 
 
-def _rat(x) -> str:
-    return str(Fraction(x))
+def _plain(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
 
 
-def describe_instance(fs: FlowSolution) -> dict:
-    flag = fs.flag
+def _counterexample(flag: ParabolicFlag, **fields) -> dict:
+    """A failing instance: its flag, then the fields in order, rationals as "p/q"."""
     return {
         "family": flag.rs.family,
         "rank": flag.rs.rank,
         "theta": list(flag.theta),
-        "b": [_rat(x) for x in fs.b0],
+        **{name: _plain(value) for name, value in fields.items()},
     }
-
-
-def _sample_times(fs: FlowSolution, count: int) -> list[Fraction]:
-    return [fs.T * j / count for j in range(count)]
 
 
 def check_scalar_volume_identity(fs: FlowSolution) -> CheckOutcome:
@@ -129,12 +130,8 @@ def check_scalar_volume_identity(fs: FlowSolution) -> CheckOutcome:
             qprime += term
         residual = scalar_curvature(fs, t) * q + qprime
         if residual != 0:
-            return CheckOutcome(False, {
-                **describe_instance(fs),
-                "check": "scalar_volume_identity",
-                "t": _rat(t),
-                "residual": _rat(residual),
-            })
+            return CheckOutcome(False, _counterexample(
+                fs.flag, b=fs.b0, check="scalar_volume_identity", t=t, residual=residual))
     return CheckOutcome(True)
 
 
@@ -162,13 +159,9 @@ def check_ricci_identity(
             lhs += -Fraction(a) * s / (p * p)
         rhs = ricci_norm_sq(fs, t)
         if lhs != rhs:
-            exact = CheckOutcome(False, {
-                **describe_instance(fs),
-                "check": "ricci_identity_exact",
-                "t": _rat(t),
-                "dR_dt": _rat(lhs),
-                "ricci_norm_sq": _rat(rhs),
-            })
+            exact = CheckOutcome(False, _counterexample(
+                fs.flag, b=fs.b0, check="ricci_identity_exact", t=t,
+                dR_dt=lhs, ricci_norm_sq=rhs))
             break
 
     fd = CheckOutcome(True)
@@ -180,52 +173,37 @@ def check_ricci_identity(
         truth = float(ricci_norm_sq(fs, t))
         rel = abs(diff - truth) / abs(truth)
         if rel > fd_tol:
-            fd = CheckOutcome(False, {
-                **describe_instance(fs),
-                "check": "ricci_identity_fd",
-                "t": _rat(t),
-                "finite_difference": repr(diff),
-                "ricci_norm_sq": repr(truth),
-                "relative_error": repr(rel),
-            })
+            fd = CheckOutcome(False, _counterexample(
+                fs.flag, b=fs.b0, check="ricci_identity_fd", t=t,
+                finite_difference=repr(diff), ricci_norm_sq=repr(truth),
+                relative_error=repr(rel)))
             break
     return exact, fd
 
 
 def check_trajectory_bounds(fs: FlowSolution, samples: int) -> dict[str, CheckOutcome]:
-    """Bound chains, volume sandwich, monotonicity and closure checks."""
-    n = fs.flag.n
-    v0 = volume(fs, 0).coeff
+    """The verdicts of bounds_report, plus monotone R, Einstein closure and collapse at T."""
     outcomes: dict[str, CheckOutcome] = {}
 
     def fail(name: str, t, **extra) -> None:
-        outcomes.setdefault(name, CheckOutcome(False, {
-            **describe_instance(fs), "check": name, "t": _rat(t), **extra}))
+        outcomes.setdefault(name, CheckOutcome(False, _counterexample(
+            fs.flag, b=fs.b0, check=name, t=t, **extra)))
 
     prev_r = None
-    for t in _sample_times(fs, samples):
-        gap = fs.T - t
-        r = scalar_curvature(fs, t)
-        ric = ricci_norm_sq(fs, t)
-        v = volume(fs, t).coeff
-        shrink = 1 - t / fs.T
-        if not 1 / gap <= r <= Fraction(n) / gap:
-            fail("scalar_bounds", t, R=_rat(r), lower=_rat(1 / gap),
-                 upper=_rat(Fraction(n) / gap))
-        if not r * r / n <= ric <= r * r:
-            fail("ricci_bounds", t, ricci_norm_sq=_rat(ric),
-                 lower=_rat(r * r / n), upper=_rat(r * r))
-        if not shrink ** n * v0 <= v <= shrink * v0:
-            fail("volume_sandwich", t, vol=_rat(v),
-                 lower=_rat(shrink ** n * v0), upper=_rat(shrink * v0))
+    for t in (fs.T * j / samples for j in range(samples)):
+        rep = bounds_report(fs, t)
+        r = rep.R
+        for name, holds in rep.verdicts().items():
+            if not holds:
+                fail(name, t, **asdict(rep))
         if prev_r is not None and not r > prev_r:
-            fail("monotone_scalar", t, R=_rat(r), previous=_rat(prev_r))
-        if fs.einstein and r * gap != n:
-            fail("einstein_closure", t, R_times_gap=_rat(r * gap), n=n)
+            fail("monotone_scalar", t, R=r, previous=prev_r)
+        if fs.einstein and not rep.r_upper_attained:
+            fail("einstein_closure", t, R_times_gap=r * (fs.T - t), n=fs.flag.n)
         prev_r = r
 
     if volume(fs, fs.T).coeff != 0:
-        fail("volume_zero_at_T", fs.T, vol=_rat(volume(fs, fs.T).coeff))
+        fail("volume_zero_at_T", fs.T, vol=volume(fs, fs.T).coeff)
 
     for name in ("scalar_bounds", "ricci_bounds", "volume_sandwich",
                  "monotone_scalar", "volume_zero_at_T"):
@@ -263,27 +241,17 @@ def check_nef_consistency(
     flag: ParabolicFlag, coeffs, max_q: int,
 ) -> dict[str, CheckOutcome]:
     """brute_nef agrees with the closed form; flow time equals 1/tau."""
-    base = {
-        "family": flag.rs.family,
-        "rank": flag.rs.rank,
-        "theta": list(flag.theta),
-        "d": [_rat(c) for c in coeffs],
-    }
+    coeffs = tuple(Fraction(c) for c in coeffs)
     out: dict[str, CheckOutcome] = {}
     tau = nef_value(flag, coeffs)
     found = brute_nef(flag, coeffs, max_q)
     if found != tau:
-        out["nef_brute_match"] = CheckOutcome(False, {
-            **base, "check": "nef_brute_match",
-            "closed_form": _rat(tau),
-            "brute_force": None if found is None else _rat(found),
-        })
-    fs = make_flow(flag, tuple(Fraction(c) for c in coeffs))
+        out["nef_brute_match"] = CheckOutcome(False, _counterexample(
+            flag, d=coeffs, check="nef_brute_match", closed_form=tau, brute_force=found))
+    fs = make_flow(flag, coeffs)
     if fs.T != script_T(flag, coeffs) or fs.T * tau != 1:
-        out["flow_nef_consistency"] = CheckOutcome(False, {
-            **base, "check": "flow_nef_consistency",
-            "T": _rat(fs.T), "one_over_tau": _rat(1 / tau),
-        })
+        out["flow_nef_consistency"] = CheckOutcome(False, _counterexample(
+            flag, d=coeffs, check="flow_nef_consistency", T=fs.T, one_over_tau=1 / tau))
     out.setdefault("nef_brute_match", CheckOutcome(True))
     out.setdefault("flow_nef_consistency", CheckOutcome(True))
     return out
@@ -301,14 +269,7 @@ def check_scale_laws(flag: ParabolicFlag, coeffs, k: int) -> CheckOutcome:
     )
     if ok:
         return CheckOutcome(True)
-    return CheckOutcome(False, {
-        "family": flag.rs.family,
-        "rank": flag.rs.rank,
-        "theta": list(flag.theta),
-        "d": [_rat(c) for c in coeffs],
-        "check": "scale_laws",
-        "k": k,
-    })
+    return CheckOutcome(False, _counterexample(flag, d=coeffs, check="scale_laws", k=k))
 
 
 def check_weyl_gt_grid(max_coord: int = 3) -> CheckOutcome:

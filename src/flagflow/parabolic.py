@@ -66,12 +66,17 @@ def build_flag(rs: RootSystem, theta) -> ParabolicFlag:
     return ParabolicFlag(rs, th, complement, comp, delta_p, tuple(fano), len(comp))
 
 
-def char_of_divisor(flag: ParabolicFlag, coeffs: DivisorClass) -> Weight:
-    """Character chi_D = sum d_alpha * w_alpha of D = sum d_alpha * D_alpha."""
+def require_length(flag: ParabolicFlag, coeffs) -> None:
+    """A class or divisor has one coefficient per complement index."""
     if len(coeffs) != len(flag.complement):
         raise DomainError(
-            f"divisor has {len(coeffs)} coefficients; "
+            f"{len(coeffs)} coefficients given; "
             f"expected {len(flag.complement)} (one per complement index)")
+
+
+def char_of_divisor(flag: ParabolicFlag, coeffs: DivisorClass) -> Weight:
+    """Character chi_D = sum d_alpha * w_alpha of D = sum d_alpha * D_alpha."""
+    require_length(flag, coeffs)
     out = [Fraction(0)] * flag.rs.rank
     for a, c in zip(flag.complement, coeffs):
         out[a - 1] = Fraction(c)
@@ -85,10 +90,7 @@ def canonical_divisor(flag: ParabolicFlag) -> DivisorClass:
 
 def is_ample(flag: ParabolicFlag, coeffs: DivisorClass) -> bool:
     """Ample (equivalently very ample for integral classes): all d_alpha > 0."""
-    if len(coeffs) != len(flag.complement):
-        raise DomainError(
-            f"divisor has {len(coeffs)} coefficients; "
-            f"expected {len(flag.complement)} (one per complement index)")
+    require_length(flag, coeffs)
     return all(c > 0 for c in coeffs)
 
 

@@ -221,23 +221,23 @@ def fund_coords(rs: RootSystem, k: Root) -> Weight:
     )
 
 
-def pairing(rs: RootSystem, weight: Weight, root_index: int) -> Fraction:
-    """<weight, h_beta^v> for beta = positive_roots[root_index]."""
+def _row(rs: RootSystem, root_index: int) -> tuple[int, ...]:
     if not 0 <= root_index < len(rs.positive_roots):
         raise DomainError(
             f"root index {root_index} out of range "
             f"(0..{len(rs.positive_roots) - 1})")
-    row = rs.pairing_rows[root_index]
+    return rs.pairing_rows[root_index]
+
+
+def pairing(rs: RootSystem, weight: Weight, root_index: int) -> Fraction:
+    """<weight, h_beta^v> for beta = positive_roots[root_index]."""
+    row = _row(rs, root_index)
     return sum((Fraction(m) * r for m, r in zip(weight, row)), Fraction(0))
 
 
 def rho_pairing(rs: RootSystem, root_index: int) -> int:
     """<rho, h_beta^v>, an integer: the sum of beta's pairing row."""
-    if not 0 <= root_index < len(rs.positive_roots):
-        raise DomainError(
-            f"root index {root_index} out of range "
-            f"(0..{len(rs.positive_roots) - 1})")
-    return sum(rs.pairing_rows[root_index])
+    return sum(_row(rs, root_index))
 
 
 def height(k: Root) -> int:

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,16 @@ from flagflow.cli import main
 P2 = ["--type", "A", "--rank", "2", "--theta", "2"]
 A2_FULL = ["--type", "A", "--rank", "2"]
 P1 = ["--type", "A", "--rank", "1"]
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+
+def sixteen_bit_class(rank, integral):
+    rng = random.Random(1)
+    top = 2 ** 16
+    return ",".join(
+        str(rng.randint(top // 2, top)) if integral
+        else f"{rng.randint(top // 2, top)}/{rng.randint(top // 2, top)}"
+        for _ in range(rank))
 
 
 def run_json(capsys, argv):
@@ -33,12 +45,50 @@ def test_describe_projective_plane(capsys):
     assert res["comp_pos_roots"] == [[1, 0], [1, 1]]
 
 
+def test_stdout_bytes_match_golden(capsys, tmp_path):
+    """Exact stdout of fixed requests: key order, indentation, the input echo."""
+    for case in json.loads(GOLDEN.read_text()):
+        argv = case["argv"]
+        if "job" in case:
+            job = tmp_path / "job.json"
+            job.write_text(json.dumps(case["job"]))
+            argv = [str(job) if a == "JOB" else a for a in argv]
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == case["stdout"], argv
+
+
 def test_describe_writes_output_file(capsys, tmp_path):
     target = tmp_path / "desc.json"
     assert main(["describe", *P1, "--output", str(target)]) == 0
     doc = json.loads(target.read_text())
     assert doc["result"]["fano"] == [2]
     assert capsys.readouterr().out == ""
+
+
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "desc.json"
+    assert main(["describe", *P1, "--output", str(target)]) == 2
+    assert f"cannot write {target}" in capsys.readouterr().err
+
+
+def test_flow_prints_exact_values_of_any_length(capsys):
+    e8 = ["--type", "E", "--rank", "8", "--samples", "1"]
+    doc = run_json(capsys, ["flow", *e8, "--class", sixteen_bit_class(8, False)])
+    (sample,) = doc["result"]["samples"]
+    num, den = sample["ricci_norm_sq"].split("/")
+    assert num.isdigit() and den.isdigit() and len(num) > 4300
+
+
+def test_flow_volume_past_float_range(capsys, tmp_path):
+    e8 = ["flow", "--type", "E", "--rank", "8", "--samples", "1",
+          "--class", sixteen_bit_class(8, True)]
+    doc = run_json(capsys, e8)
+    with pytest.raises(OverflowError):
+        float(Fraction(doc["result"]["samples"][0]["vol_coeff"]))
+    target = tmp_path / "traj.csv"
+    assert main([*e8, "--format", "csv", "--output", str(target)]) == 3
+    assert "vol_coeff" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_flow_single_time_frozen_values(capsys):
@@ -154,6 +204,13 @@ def test_job_file_is_equivalent_to_flags(capsys, tmp_path):
     from_flags = run_json(capsys, ["invariants", *P2, "--divisor", "1"])
     from_job = run_json(capsys, ["invariants", "--job", str(job)])
     assert from_flags["result"] == from_job["result"]
+    # list fields take a comma-separated string in a job file too
+    job.write_text(json.dumps({"lie_family": "A", "rank": 2, "class": "1,2", "t": "0"}))
+    from_flags = run_json(capsys, ["flow", *A2_FULL, "--class", "1,2", "--t", "0"])
+    assert run_json(capsys, ["flow", "--job", str(job)]) == from_flags
+    job.write_text(json.dumps({"lie_family": "A", "rank": 3, "theta": "12"}))
+    assert main(["describe", "--job", str(job)]) == 3
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_check_subcommand_reports_green_suite(capsys):
@@ -173,6 +230,9 @@ def test_usage_errors_exit_two(capsys):
     assert main(["flow", *A2_FULL]) == 2
     assert main(["flow", *A2_FULL, "--class", "1,2", "--format", "csv"]) == 2
     assert main(["invariants", *P2]) == 2
+    assert main(["flow", *A2_FULL, "--class", "1,2", "--samples", "0"]) == 2
+    assert main(["describe", "--type", "A", "--rank", "3", "--theta", "2,2"]) == 2
+    assert main(["describe", "--type", "A", "--rank", "2.7"]) == 2
     capsys.readouterr()
 
 
@@ -183,6 +243,19 @@ def test_job_conflicts_exit_two(capsys, tmp_path):
     job.write_text(json.dumps({"lie_family": "A", "rank": 1, "colour": 3}))
     assert main(["describe", "--job", str(job)]) == 2
     capsys.readouterr()
+    a2 = {"lie_family": "A", "rank": 2, "class": ["1", "2"]}
+    for bad, field in [
+        (5, "JSON object"),
+        ({"lie_family": "A", "rank": 2.7}, "rank"),
+        ({"lie_family": "A", "rank": 3, "theta": [2, 2]}, "theta"),
+        ({**a2, "samples": "abc"}, "samples"),
+        ({**a2, "samples": 0}, "samples"),
+        ({**a2, "class": 5}, "class"),
+        ({"lie_family": ["A"], "rank": 2}, "lie_family"),
+    ]:
+        job.write_text(json.dumps(bad))
+        assert main(["flow", "--job", str(job)]) == 2, bad
+        assert field in capsys.readouterr().err, bad
 
 
 def test_domain_errors_exit_three(capsys):

@@ -1,5 +1,6 @@
 """Flow trajectories: closed forms, frozen values, bound chains, rejections."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,13 @@ def test_bounds_report_frozen_values_at_quarter_time():
     assert rep.within
     assert not rep.r_upper_attained
     assert rep.rm_bound == RM_BOUND_SYMBOLIC
+    # one verdict per bound; within is their conjunction
+    assert rep.verdicts() == dict.fromkeys(
+        ("scalar_bounds", "ricci_bounds", "volume_sandwich"), True)
+    off = dataclasses.replace(rep, R=rep.R_upper + 1)
+    assert off.verdicts() == {
+        "scalar_bounds": False, "ricci_bounds": True, "volume_sandwich": True}
+    assert not off.within
 
 
 def test_einstein_report_attains_upper_scalar_bound():

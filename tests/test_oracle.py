@@ -63,6 +63,19 @@ def test_trajectory_bounds_pass_and_cover_all_names():
     assert ke_outcomes["einstein_closure"].passed
 
 
+def test_trajectory_bounds_report_each_failed_verdict(monkeypatch):
+    import flagflow.oracle as oracle
+
+    honest = oracle.bounds_report
+    monkeypatch.setattr(oracle, "bounds_report",
+                        lambda fs, t: dataclasses.replace(honest(fs, t), vol_coeff=Fraction(0)))
+    outcomes = check_trajectory_bounds(a2_flow(), samples=4)
+    assert not outcomes["volume_sandwich"].passed
+    ce = outcomes["volume_sandwich"].counterexample
+    assert ce["check"] == "volume_sandwich" and ce["vol_coeff"] == "0" and ce["b"] == ["1", "2"]
+    assert outcomes["scalar_bounds"].passed and outcomes["ricci_bounds"].passed
+
+
 def test_corrupted_consumption_rates_are_caught():
     bad = corrupt_rates(a2_flow())
     out = check_scalar_volume_identity(bad)
