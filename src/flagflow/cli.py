@@ -5,8 +5,8 @@ Exact rationals are serialized as "p/q" strings, never floats. A flow
 trajectory can be written as CSV for plotting (12 significant digits per
 cell) with an exact-value JSON sidecar next to it.
 
-Exit codes: 0 success, 1 failed verification suite, 2 usage error,
-3 domain rejection, 4 internal assertion failure.
+Exit codes: 0 success, 1 failed verification suite, 2 usage error or
+closed stdout, 3 domain rejection, 4 internal assertion failure.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -25,10 +26,8 @@ from .flow import (
     bounds_report,
     class_at,
     diameter_bound,
-    lambda1_bounds,
     make_flow,
     ricci_lower_constant,
-    volume,
 )
 from .invariants import invariants_of, lct_lower
 from .oracle import SuiteConfig, run_suite
@@ -224,7 +223,7 @@ def _emit(doc: dict, output: str | None) -> None:
     if output:
         _write(output, text + "\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed stdout then raises inside main
 
 
 def _decimal(name: str, x: Fraction) -> str:
@@ -258,7 +257,7 @@ def cmd_describe(flag) -> dict:
         "delta_p": [int(c) for c in flag.delta_p],
         "fano": flag.fano,
         "canonical_divisor": [int(c) for c in canonical_divisor(flag)],
-        "v0_coeff": volume(make_flow(flag, flag.fano), 0).coeff,
+        "v0_coeff": make_flow(flag, flag.fano).v0,
     }
 
 
@@ -274,15 +273,14 @@ def _flow_times(fs, desc: dict) -> list[Fraction]:
 
 def _flow_sample(fs, t: Fraction) -> dict:
     rep = bounds_report(fs, t)
-    lam_lo, lam_hi = lambda1_bounds(fs, t)
     return {
         "t": t,
         "class": class_at(fs, t),
         "R": rep.R,
         "ricci_norm_sq": rep.ricci_norm_sq,
         "vol_coeff": rep.vol_coeff,
-        "lambda1_lower": lam_lo,
-        "lambda1_upper": lam_hi,
+        "lambda1_lower": rep.lambda1_lower,
+        "lambda1_upper": rep.lambda1_upper,
         "bounds": {key: getattr(rep, key) for key in BOUND_KEYS},
     }
 
@@ -291,7 +289,10 @@ def cmd_flow(flag, desc: dict) -> dict:
     b = tuple(parse_rational(s) for s in desc.get("class", desc.get("divisor")))
     fs = make_flow(flag, b)
     c_const = ricci_lower_constant(fs)
-    diam_value, diam_radicand = diameter_bound(fs)
+    try:
+        diam_value, diam_radicand = diameter_bound(fs)
+    except OverflowError:
+        raise DomainError("diameter_upper is out of float range") from None
     result = {
         "family": flag.rs.family,
         "rank": flag.rs.rank,
@@ -366,6 +367,11 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader of stdout is gone: point stdout at devnull so that the
+        # flush at interpreter exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except AssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         return 4

@@ -12,16 +12,13 @@ shares no code path with the product formula.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from itertools import product
 
 from .errors import BudgetExceeded, DomainError
-from .parabolic import DivisorClass, ParabolicFlag, char_of_divisor, is_integral, require_ample
 from .rootsys import RootSystem, Weight, pairing, rho_pairing
 
 DEFAULT_GT_BUDGET = 10 ** 6
-GT_BUDGET_ENV = "FLAGFLOW_MAX_GT_BUDGET"
 
 
 def _require_dominant_integral(rs: RootSystem, weight: Weight) -> tuple[int, ...]:
@@ -50,27 +47,19 @@ def weyl_dim(rs: RootSystem, weight: Weight) -> int:
     return int(value)
 
 
-def _resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(GT_BUDGET_ENV)
-    return int(env) if env else DEFAULT_GT_BUDGET
-
-
-def gt_count(rs: RootSystem, weight: Weight, budget: int | None = None) -> int:
+def gt_count(rs: RootSystem, weight: Weight, budget: int = DEFAULT_GT_BUDGET) -> int:
     """dim V(lambda) in type A by Gelfand-Tsetlin pattern enumeration.
 
     The top row is the partition lambda_j = sum_{i>=j} m_i (length
     rank+1, last entry 0); each following row interlaces the one above.
     Enumeration is exhaustive by design. The completed-pattern budget
-    (argument, else the FLAGFLOW_MAX_GT_BUDGET variable, else 10^6)
-    guards against blowup; exceeding it raises BudgetExceeded.
+    (default 10^6) guards against blowup; exceeding it raises
+    BudgetExceeded.
     """
     if rs.family != "A":
         raise DomainError(
             f"Gelfand-Tsetlin enumeration is defined for type A only (got {rs.family})")
     m = _require_dominant_integral(rs, weight)
-    limit = _resolve_budget(budget)
     top = tuple(sum(m[j:]) for j in range(rs.rank + 1))
 
     count = 0
@@ -79,9 +68,9 @@ def gt_count(rs: RootSystem, weight: Weight, budget: int | None = None) -> int:
         nonlocal count
         if len(row) == 1:
             count += 1
-            if count > limit:
+            if count > budget:
                 raise BudgetExceeded(
-                    f"Gelfand-Tsetlin enumeration exceeded budget {limit}")
+                    f"Gelfand-Tsetlin enumeration exceeded budget {budget}")
             return
         # every choice interlaces, and interlacing forces y non-increasing
         for nxt in product(*(range(row[i + 1], row[i] + 1) for i in range(len(row) - 1))):
@@ -89,11 +78,3 @@ def gt_count(rs: RootSystem, weight: Weight, budget: int | None = None) -> int:
 
     descend(top)
     return count
-
-
-def lattice_count(flag: ParabolicFlag, coeffs: DivisorClass) -> int:
-    """Lattice points of the divisor polytope: #(Delta(D) cap Z^n) = dim V(chi_D)."""
-    require_ample(flag, coeffs)
-    if not is_integral(coeffs):
-        raise DomainError("lattice count requires an integral divisor class")
-    return weyl_dim(flag.rs, char_of_divisor(flag, coeffs))

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dimcount import weyl_dim
 from .errors import DomainError
 from .parabolic import DivisorClass, ParabolicFlag, char_of_divisor, require_length
 from .rootsys import pairing, rho_pairing
@@ -48,14 +47,7 @@ class FlowSolution:
     p_slope: tuple[Fraction, ...]   # always -a_beta
     a: tuple[int, ...]              # <delta_P, h_beta^v>, per comp_pos_roots
     einstein: bool                  # b proportional to the Fano coefficients
-
-
-@dataclass(frozen=True)
-class ScaledVolume:
-    """The value coeff * (2 pi)^n."""
-
-    coeff: Fraction
-    n: int
+    v0: Fraction                    # volume coefficient at t = 0
 
 
 @dataclass(frozen=True)
@@ -71,6 +63,8 @@ class BoundsReport:
     vol_coeff: Fraction
     vol_coeff_lower: Fraction       # (1-t/T)^n * vol(0)
     vol_coeff_upper: Fraction       # (1-t/T) * vol(0)
+    lambda1_lower: Fraction         # 2/C(omega_0)
+    lambda1_upper: Fraction         # 2R * M/(M-1), M = dim V(delta_P)
     r_upper_attained: bool          # exact equality R = n/(T-t), the Einstein case
     rm_bound: str = RM_BOUND_SYMBOLIC
 
@@ -105,7 +99,8 @@ def make_flow(flag: ParabolicFlag, b: KahlerClass) -> FlowSolution:
     p_slope = tuple(Fraction(-x) for x in a)
     T = min(x / l for x, l in zip(b, flag.fano))
     ratios = {x / l for x, l in zip(b, flag.fano)}
-    return FlowSolution(flag, b, T, p_const, p_slope, tuple(a), len(ratios) == 1)
+    return FlowSolution(flag, b, T, p_const, p_slope, tuple(a), len(ratios) == 1,
+                        _volume_coeff(flag, p_const))
 
 
 def _check_time(fs: FlowSolution, t, allow_T: bool = False) -> Fraction:
@@ -133,10 +128,10 @@ def _rates(fs: FlowSolution, ps) -> list[Fraction]:
     return [Fraction(a) / p for a, p in zip(fs.a, ps)]
 
 
-def _volume_coeff(fs: FlowSolution, ps) -> Fraction:
+def _volume_coeff(flag: ParabolicFlag, ps) -> Fraction:
     coeff = Fraction(1)
-    for idx, p in zip(fs.flag.comp_pos_roots, ps):
-        coeff *= p / rho_pairing(fs.flag.rs, idx)
+    for idx, p in zip(flag.comp_pos_roots, ps):
+        coeff *= p / rho_pairing(flag.rs, idx)
     return coeff
 
 
@@ -148,24 +143,25 @@ def ricci_norm_sq(fs: FlowSolution, t) -> Fraction:
     return sum((x * x for x in _rates(fs, p_values(fs, _check_time(fs, t)))), Fraction(0))
 
 
-def volume(fs: FlowSolution, t) -> ScaledVolume:
-    """Vol(t) as coeff * (2 pi)^n; t = T is allowed (continuous limit)."""
+def volume(fs: FlowSolution, t) -> Fraction:
+    """The coefficient of Vol(t) = coeff * (2 pi)^n; t = T is allowed (continuous limit)."""
     t = _check_time(fs, t, allow_T=True)
-    return ScaledVolume(_volume_coeff(fs, p_values(fs, t)), fs.flag.n)
+    return _volume_coeff(fs.flag, p_values(fs, t))
 
 
 def bounds_report(fs: FlowSolution, t) -> BoundsReport:
-    """Evaluate the two-sided curvature and volume bounds exactly at t.
+    """Evaluate every bound along the flow exactly at t.
 
-    The P_beta(t) are evaluated once; vol(0) comes from the stored P_beta(0).
+    The P_beta(t) are evaluated once; vol(0) is fs.v0 and M = dim V(delta_P)
+    is computed once per flag.
     """
     t = _check_time(fs, t)
     n = fs.flag.n
+    m = fs.flag.delta_dim
     gap = fs.T - t
     ps = p_values(fs, t)
     rates = _rates(fs, ps)
     r = sum(rates, Fraction(0))
-    v0 = _volume_coeff(fs, fs.p_const)
     shrink = 1 - t / fs.T
     return BoundsReport(
         R=r,
@@ -174,9 +170,11 @@ def bounds_report(fs: FlowSolution, t) -> BoundsReport:
         ricci_norm_sq=sum((x * x for x in rates), Fraction(0)),
         ricci_norm_sq_lower=r * r / n,
         ricci_norm_sq_upper=r * r,
-        vol_coeff=_volume_coeff(fs, ps),
-        vol_coeff_lower=shrink ** n * v0,
-        vol_coeff_upper=shrink * v0,
+        vol_coeff=_volume_coeff(fs.flag, ps),
+        vol_coeff_lower=shrink ** n * fs.v0,
+        vol_coeff_upper=shrink * fs.v0,
+        lambda1_lower=2 / ricci_lower_constant(fs),
+        lambda1_upper=2 * r * m / (m - 1),
         r_upper_attained=(r * gap == n),
     )
 
@@ -189,25 +187,24 @@ def ricci_lower_constant(fs: FlowSolution) -> Fraction:
 def diameter_bound(fs: FlowSolution) -> tuple[float, Fraction]:
     """Myers bound pi * sqrt((2n-1) * C(omega_0)), uniform in t.
 
-    Returns (float value, exact radicand).
+    Returns (float value, exact radicand). The radicand is divided by 4^k
+    before it becomes a float, so only a value past the float range raises
+    OverflowError; k = 0 whenever the radicand itself fits.
     """
     radicand = (2 * fs.flag.n - 1) * ricci_lower_constant(fs)
-    return math.pi * math.sqrt(radicand), radicand
+    bits = radicand.numerator.bit_length() - radicand.denominator.bit_length()
+    k = max(0, (bits - 1000) // 2)
+    return math.ldexp(math.pi * math.sqrt(radicand / 4 ** k), k), radicand
 
 
 def lambda1_bounds(fs: FlowSolution, t) -> tuple[Fraction, Fraction]:
     """Two-sided bound on the first nonzero Laplace eigenvalue at time t.
 
     Lower 2/C(omega_0) by Lichnerowicz; upper 2 R(t) M/(M-1) where
-    M = dim V(delta_P).
+    M = dim V(delta_P). Both are read off bounds_report.
     """
-    t = _check_time(fs, t)
-    m = weyl_dim(fs.flag.rs, fs.flag.delta_p)
-    if m <= 1:
-        raise DomainError("dim V(delta_P) = 1 leaves the eigenvalue bound undefined")
-    lower = 2 / ricci_lower_constant(fs)
-    upper = 2 * scalar_curvature(fs, t) * m / (m - 1)
-    return lower, upper
+    rep = bounds_report(fs, t)
+    return rep.lambda1_lower, rep.lambda1_upper
 
 
 def flow_of_divisor(flag: ParabolicFlag, coeffs: DivisorClass) -> FlowSolution:

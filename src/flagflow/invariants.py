@@ -21,7 +21,7 @@ from math import factorial
 
 from .dimcount import weyl_dim
 from .errors import DomainError
-from .flow import flow_of_divisor, scalar_curvature, volume
+from .flow import FlowSolution, flow_of_divisor, scalar_curvature
 from .parabolic import (
     DivisorClass,
     ParabolicFlag,
@@ -74,10 +74,14 @@ def script_C(flag: ParabolicFlag, coeffs: DivisorClass) -> Fraction:
     return 2 * max(Fraction(c) / Fraction(l) for l, c in zip(flag.fano, coeffs))
 
 
+def _degree(fs: FlowSolution) -> Fraction:
+    return factorial(fs.flag.n) * fs.v0
+
+
 def degree(flag: ParabolicFlag, coeffs: DivisorClass) -> Fraction:
     """n! times the volume coefficient of the flow started at D."""
     require_ample(flag, coeffs)
-    return factorial(flag.n) * volume(flow_of_divisor(flag, coeffs), 0).coeff
+    return _degree(flow_of_divisor(flag, coeffs))
 
 
 def divisor_at(flag: ParabolicFlag, coeffs: DivisorClass, t) -> DivisorClass:
@@ -114,6 +118,7 @@ def lct_lower(flag: ParabolicFlag, coeffs: DivisorClass, m: int) -> LctReport:
 def invariants_of(flag: ParabolicFlag, coeffs: DivisorClass) -> InvariantReport:
     require_ample(flag, coeffs)
     coeffs = tuple(Fraction(c) for c in coeffs)
+    fs = flow_of_divisor(flag, coeffs)
     tau = nef_value(flag, coeffs)
     t_script = 1 / tau
     c_script = script_C(flag, coeffs)
@@ -125,7 +130,7 @@ def invariants_of(flag: ParabolicFlag, coeffs: DivisorClass) -> InvariantReport:
         lambda1_upper = Fraction(2 * flag.n * dim_v, dim_v - 1)
     borel = None
     if not flag.theta:
-        r0 = scalar_curvature(flow_of_divisor(flag, coeffs), 0)
+        r0 = scalar_curvature(fs, 0)
         borel = BorelBounds(
             seshadri_upper=2 * t_script,
             gromov_width_upper=2 * t_script,
@@ -136,7 +141,7 @@ def invariants_of(flag: ParabolicFlag, coeffs: DivisorClass) -> InvariantReport:
         tau=tau,
         T_script=t_script,
         C_script=c_script,
-        degree=degree(flag, coeffs),
+        degree=_degree(fs),
         dimV=dim_v,
         lambda1_lower=2 / c_script,
         lambda1_upper=lambda1_upper,

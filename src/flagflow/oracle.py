@@ -202,8 +202,9 @@ def check_trajectory_bounds(fs: FlowSolution, samples: int) -> dict[str, CheckOu
             fail("einstein_closure", t, R_times_gap=r * (fs.T - t), n=fs.flag.n)
         prev_r = r
 
-    if volume(fs, fs.T).coeff != 0:
-        fail("volume_zero_at_T", fs.T, vol=volume(fs, fs.T).coeff)
+    vol_at_T = volume(fs, fs.T)
+    if vol_at_T != 0:
+        fail("volume_zero_at_T", fs.T, vol=vol_at_T)
 
     for name in ("scalar_bounds", "ricci_bounds", "volume_sandwich",
                  "monotone_scalar", "volume_zero_at_T"):

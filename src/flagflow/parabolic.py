@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
+from .dimcount import weyl_dim
 from .errors import DomainError
 from .rootsys import RootSystem, Weight, fund_coords
 
@@ -30,6 +32,14 @@ class ParabolicFlag:
     delta_p: Weight                 # anticanonical weight, integer coords
     fano: tuple[int, ...]           # l_alpha = <delta_P, h_alpha^v>, per complement
     n: int                          # complex dimension = #comp_pos_roots
+
+    @cached_property
+    def delta_dim(self) -> int:
+        """M = dim V(delta_P), computed on first use and kept on this flag."""
+        m = weyl_dim(self.rs, self.delta_p)
+        # delta_P pairs positively with every complementary root, so V(delta_P) is not trivial
+        assert m > 1, "dim V(delta_P) = 1 leaves the eigenvalue bound undefined"
+        return m
 
 
 def build_flag(rs: RootSystem, theta) -> ParabolicFlag:

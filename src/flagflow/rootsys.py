@@ -45,9 +45,6 @@ RANK_RANGE = {
     "G": (2, 2),
 }
 
-# height is bounded by 29 (E8); anything deeper means a bad Cartan matrix
-_MAX_HEIGHT = 64
-
 
 def validate_type(family: str, rank: int) -> None:
     """Reject (family, rank) pairs outside the classification."""
@@ -125,7 +122,10 @@ def positive_roots_from_cartan(cartan: Matrix) -> tuple[Root, ...]:
     beta - m * alpha_j is already a root. Processing height by height
     keeps the downward strings complete, so the condition is exact.
 
-    Output is ordered by height, ties broken lexicographically.
+    Output is ordered by height, ties broken lexicographically. The
+    highest root has height h - 1 for the Coxeter number h, which is at
+    most 2l in the classical types (B_l, C_l) and 30 in the exceptional
+    ones (E8); anything deeper means a bad Cartan matrix.
     """
     l = len(cartan)
     if l == 0:
@@ -134,7 +134,7 @@ def positive_roots_from_cartan(cartan: Matrix) -> tuple[Root, ...]:
         tuple(int(i == j) for j in range(l)) for i in range(l))
     found: set[Root] = set(current)
     result: list[Root] = list(current)
-    for _height in range(_MAX_HEIGHT):
+    for _height in range(max(2 * l, 30)):
         nxt: set[Root] = set()
         for k in current:
             for j in range(l):
@@ -238,8 +238,3 @@ def pairing(rs: RootSystem, weight: Weight, root_index: int) -> Fraction:
 def rho_pairing(rs: RootSystem, root_index: int) -> int:
     """<rho, h_beta^v>, an integer: the sum of beta's pairing row."""
     return sum(_row(rs, root_index))
-
-
-def height(k: Root) -> int:
-    """Sum of the simple-root coefficients."""
-    return sum(k)

@@ -2,12 +2,17 @@
 
 import csv
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import flagflow
 from flagflow.cli import main
 
 P2 = ["--type", "A", "--rank", "2", "--theta", "2"]
@@ -23,6 +28,21 @@ def sixteen_bit_class(rank, integral):
         str(rng.randint(top // 2, top)) if integral
         else f"{rng.randint(top // 2, top)}/{rng.randint(top // 2, top)}"
         for _ in range(rank))
+
+
+def count_calls(monkeypatch, home, name):
+    """Record each call of home.name, through every flagflow module that holds it."""
+    calls = []
+    orig = getattr(home, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("flagflow") and vars(mod).get(name) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def run_json(capsys, argv):
@@ -89,6 +109,46 @@ def test_flow_volume_past_float_range(capsys, tmp_path):
     assert main([*e8, "--format", "csv", "--output", str(target)]) == 3
     assert "vol_coeff" in capsys.readouterr().err
     assert not target.exists()
+
+
+def test_flow_diameter_past_float_range(capsys):
+    p1_flow = ["flow", *P1, "--samples", "1", "--class"]
+    doc = run_json(capsys, [*p1_flow, str(10 ** 400)])
+    diameter = doc["result"]["diameter_upper"]
+    assert diameter["radicand"] == str(10 ** 400)
+    assert diameter["value"] == pytest.approx(math.pi * 1e200)
+    assert main([*p1_flow, str(10 ** 700)]) == 3
+    assert "diameter_upper" in capsys.readouterr().err
+
+
+def test_flow_computes_dim_v_delta_once(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, flagflow.dimcount, "weyl_dim")
+    doc = run_json(capsys, ["flow", *A2_FULL, "--class", "1,2", "--samples", "20"])
+    assert len(doc["result"]["samples"]) == 20
+    assert len(calls) == 1
+
+
+def test_invariants_builds_one_flow(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, flagflow.flow, "make_flow")
+    doc = run_json(capsys, ["invariants", *A2_FULL, "--divisor", "1,2"])
+    assert "borel_only_bounds" in doc["result"]
+    assert len(calls) == 1
+
+
+def test_closed_stdout_exits_two_without_traceback():
+    src = str(Path(flagflow.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flagflow.cli", "describe", *A2_FULL],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b""
 
 
 def test_flow_single_time_frozen_values(capsys):

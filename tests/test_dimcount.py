@@ -13,7 +13,7 @@ from flagflow import (
     build_flag,
     build_root_system,
     gt_count,
-    lattice_count,
+    invariants_of,
     rho,
     weyl_dim,
 )
@@ -84,39 +84,30 @@ def test_gt_count_budget_raises_named_error():
     assert gt_count(rs, (1, 1), budget=8) == 8
 
 
-def test_gt_budget_env_override(monkeypatch):
-    rs = build_root_system("A", 2)
-    monkeypatch.setenv("FLAGFLOW_MAX_GT_BUDGET", "5")
-    with pytest.raises(BudgetExceeded):
-        gt_count(rs, (1, 1))
-    monkeypatch.setenv("FLAGFLOW_MAX_GT_BUDGET", "1000")
-    assert gt_count(rs, (1, 1)) == 8
-
-
 def test_budget_exceeded_is_a_domain_error():
     assert issubclass(BudgetExceeded, DomainError)
 
 
+# dimV = dim V(chi_D) counts the lattice points of the divisor polytope Delta(D)
 def test_lattice_count_on_projective_spaces():
     p2 = build_flag(build_root_system("A", 2), (2,))
-    assert lattice_count(p2, (Fraction(1),)) == 3
-    assert lattice_count(p2, (Fraction(2),)) == 6
+    assert invariants_of(p2, (Fraction(1),)).dimV == 3
+    assert invariants_of(p2, (Fraction(2),)).dimV == 6
     p1 = build_flag(build_root_system("A", 1), ())
     for m in range(1, 6):
-        assert lattice_count(p1, (Fraction(m),)) == m + 1
+        assert invariants_of(p1, (Fraction(m),)).dimV == m + 1
 
 
 def test_lattice_count_on_full_flag():
     full = build_flag(build_root_system("A", 2), ())
-    assert lattice_count(full, (Fraction(1), Fraction(1))) == 8
+    assert invariants_of(full, (Fraction(1), Fraction(1))).dimV == 8
 
 
 def test_lattice_count_requires_integral_ample():
     p2 = build_flag(build_root_system("A", 2), (2,))
+    assert invariants_of(p2, (Fraction(1, 2),)).dimV is None
     with pytest.raises(DomainError):
-        lattice_count(p2, (Fraction(1, 2),))
-    with pytest.raises(DomainError):
-        lattice_count(p2, (Fraction(-1),))
+        invariants_of(p2, (Fraction(-1),))
 
 
 small = st.integers(min_value=0, max_value=4)

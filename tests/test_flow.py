@@ -43,8 +43,8 @@ def test_a2_full_flag_frozen_trajectory():
     assert scalar_curvature(fs, Fraction(0)) == Fraction(13, 3)
     assert ricci_norm_sq(fs, Fraction(0)) == Fraction(61, 9)
     assert class_at(fs, Fraction(1, 4)) == (Fraction(1, 2), Fraction(3, 2))
-    assert volume(fs, Fraction(0)).coeff == Fraction(3)
-    assert volume(fs, fs.T).coeff == Fraction(0)
+    assert volume(fs, Fraction(0)) == Fraction(3)
+    assert volume(fs, fs.T) == Fraction(0)
 
 
 def test_a2_consumption_rates_and_slopes():
@@ -93,7 +93,7 @@ def test_time_domain_guards():
         scalar_curvature(fs, fs.T)
     with pytest.raises(DomainError, match="singular time"):
         class_at(fs, Fraction(1))
-    assert volume(fs, fs.T).coeff == 0
+    assert volume(fs, fs.T) == 0
     with pytest.raises(DomainError, match="singular time"):
         volume(fs, fs.T + Fraction(1, 100))
 
@@ -148,6 +148,14 @@ def test_lambda1_frozen_bounds():
     assert hi2 == Fraction(40, 3)
 
 
+def test_bounds_report_carries_the_lambda1_bounds():
+    fs = a2_full_flow()
+    for t in (Fraction(0), Fraction(1, 7), Fraction(2, 5)):
+        rep = bounds_report(fs, t)
+        assert (rep.lambda1_lower, rep.lambda1_upper) == lambda1_bounds(fs, t)
+        assert rep.lambda1_upper == 2 * rep.R * Fraction(27, 26)  # M = dim V(2 rho) = 27
+
+
 def test_flow_of_divisor_matches_direct_construction():
     p2 = build_flag(build_root_system("A", 2), (2,))
     fs = flow_of_divisor(p2, (Fraction(1),))
@@ -182,8 +190,3 @@ def test_scalar_curvature_strictly_increasing(t1, t2):
     lo, hi = sorted((t1, t2))
     if lo != hi:
         assert scalar_curvature(fs, lo) < scalar_curvature(fs, hi)
-
-
-def test_volume_dimension_tag_matches_flag():
-    fs = a2_full_flow()
-    assert volume(fs, Fraction(0)).n == fs.flag.n

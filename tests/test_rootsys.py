@@ -10,7 +10,6 @@ from flagflow import (
     DomainError,
     build_root_system,
     fund_coords,
-    height,
     pairing,
     positive_roots_from_cartan,
     rho,
@@ -84,8 +83,29 @@ def test_sum_of_positive_roots_is_twice_rho(family, rank):
 @pytest.mark.parametrize("family,rank", TYPES_RANK_LE_6)
 def test_roots_ordered_by_height_then_lex(family, rank):
     rs = build_root_system(family, rank)
-    keys = [(height(k), k) for k in rs.positive_roots]
+    keys = [(sum(k), k) for k in rs.positive_roots]
     assert keys == sorted(keys)
+
+
+COXETER_NUMBERS = [
+    *(("A", r, r + 1) for r in range(1, 7)),
+    *(("B", r, 2 * r) for r in range(2, 7)),
+    *(("C", r, 2 * r) for r in range(3, 7)),
+    *(("D", r, 2 * r - 2) for r in range(4, 7)),
+    ("E", 6, 12), ("E", 7, 18), ("E", 8, 30), ("F", 4, 12), ("G", 2, 6),
+]
+
+
+@pytest.mark.parametrize("family,rank,coxeter", COXETER_NUMBERS)
+def test_highest_root_height_is_coxeter_number_minus_one(family, rank, coxeter):
+    assert sum(build_root_system(family, rank).positive_roots[-1]) == coxeter - 1
+
+
+@pytest.mark.parametrize("family,rank", [("A", 65), ("B", 33), ("C", 33), ("D", 34)])
+def test_highest_root_of_height_65_is_reached(family, rank):
+    rs = build_root_system(family, rank)
+    assert sum(rs.positive_roots[-1]) == 65
+    assert len(rs.positive_roots) == {"A": 2145, "B": 1089, "C": 1089, "D": 1122}[family]
 
 
 def test_construction_is_deterministic():
