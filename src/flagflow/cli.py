@@ -60,8 +60,19 @@ def parse_rational(text) -> Fraction:
         raise DomainError(f"not a rational number: {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse without its guard on writes: a failed write or flush of
+    --help or --version raises, so main sees a closed stdout."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flagflow",
         description="Exact Kahler-Ricci flow and divisor invariants "
                     "on rational homogeneous varieties.")
@@ -254,9 +265,9 @@ def cmd_describe(flag) -> dict:
         "positive_roots": rs.positive_roots,
         "comp_pos_root_indices": flag.comp_pos_roots,
         "comp_pos_roots": [rs.positive_roots[i] for i in flag.comp_pos_roots],
-        "delta_p": [int(c) for c in flag.delta_p],
+        "delta_p": flag.delta_p,
         "fano": flag.fano,
-        "canonical_divisor": [int(c) for c in canonical_divisor(flag)],
+        "canonical_divisor": canonical_divisor(flag),
         "v0_coeff": make_flow(flag, flag.fano).v0,
     }
 

@@ -4,7 +4,8 @@ weyl_dim evaluates the Weyl product formula
 
     dim V(lambda) = prod_{beta > 0} <lambda + rho, h_beta^v> / <rho, h_beta^v>
 
-exactly (the rational product must reduce to an integer; anything else is
+in integers: the product of the numerators over the product of the
+denominators, divided once (the quotient must be exact; anything else is
 an internal error). gt_count recounts the same dimension in type A by
 exhaustively enumerating Gelfand-Tsetlin patterns, giving an oracle that
 shares no code path with the product formula.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .errors import BudgetExceeded, DomainError
 from .rootsys import RootSystem, Weight, pairing, rho_pairing
@@ -25,26 +27,22 @@ def _require_dominant_integral(rs: RootSystem, weight: Weight) -> tuple[int, ...
     if len(weight) != rs.rank:
         raise DomainError(
             f"weight has {len(weight)} coordinates; expected {rs.rank}")
-    coords = []
-    for m in weight:
-        f = Fraction(m)
-        if f.denominator != 1 or f < 0:
-            raise DomainError(
-                f"weight {tuple(str(Fraction(x)) for x in weight)} "
-                "is not dominant integral")
-        coords.append(int(f))
-    return tuple(coords)
+    coords = tuple(int(m) for m in weight)
+    if coords != tuple(weight) or min(coords) < 0:
+        raise DomainError(
+            f"weight {tuple(str(Fraction(x)) for x in weight)} "
+            "is not dominant integral")
+    return coords
 
 
 def weyl_dim(rs: RootSystem, weight: Weight) -> int:
-    """dim V(lambda) by the Weyl product formula, exact."""
-    _require_dominant_integral(rs, weight)
-    shifted = tuple(Fraction(m) + 1 for m in weight)  # lambda + rho
-    value = Fraction(1)
-    for idx in range(len(rs.positive_roots)):
-        value *= pairing(rs, shifted, idx) / rho_pairing(rs, idx)
-    assert value.denominator == 1 and value > 0, "Weyl product did not reduce to a positive integer"
-    return int(value)
+    """dim V(lambda) by the Weyl product formula, in integers."""
+    shifted = tuple(m + 1 for m in _require_dominant_integral(rs, weight))  # lambda + rho
+    roots = range(len(rs.positive_roots))
+    value, rest = divmod(prod(pairing(rs, shifted, idx) for idx in roots),
+                         prod(rho_pairing(rs, idx) for idx in roots))
+    assert rest == 0 and value > 0, "Weyl product did not reduce to a positive integer"
+    return value
 
 
 def gt_count(rs: RootSystem, weight: Weight, budget: int = DEFAULT_GT_BUDGET) -> int:

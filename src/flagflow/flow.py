@@ -44,7 +44,7 @@ class FlowSolution:
     b0: KahlerClass
     T: Fraction
     p_const: tuple[Fraction, ...]   # P_beta(0), per comp_pos_roots
-    p_slope: tuple[Fraction, ...]   # always -a_beta
+    p_slope: tuple[int, ...]        # always -a_beta
     a: tuple[int, ...]              # <delta_P, h_beta^v>, per comp_pos_roots
     einstein: bool                  # b proportional to the Fano coefficients
     v0: Fraction                    # volume coefficient at t = 0
@@ -91,15 +91,11 @@ def make_flow(flag: ParabolicFlag, b: KahlerClass) -> FlowSolution:
     rs = flag.rs
     lam0 = char_of_divisor(flag, b)
     p_const = tuple(pairing(rs, lam0, idx) for idx in flag.comp_pos_roots)
-    a = []
-    for idx in flag.comp_pos_roots:
-        v = pairing(rs, flag.delta_p, idx)
-        assert v.denominator == 1 and v > 0
-        a.append(int(v))
-    p_slope = tuple(Fraction(-x) for x in a)
+    a = tuple(pairing(rs, flag.delta_p, idx) for idx in flag.comp_pos_roots)
+    assert all(x > 0 for x in a), "delta_P does not pair positively with a complementary root"
     T = min(x / l for x, l in zip(b, flag.fano))
     ratios = {x / l for x, l in zip(b, flag.fano)}
-    return FlowSolution(flag, b, T, p_const, p_slope, tuple(a), len(ratios) == 1,
+    return FlowSolution(flag, b, T, p_const, tuple(-x for x in a), a, len(ratios) == 1,
                         _volume_coeff(flag, p_const))
 
 
@@ -125,14 +121,13 @@ def class_at(fs: FlowSolution, t) -> KahlerClass:
 
 def _rates(fs: FlowSolution, ps) -> list[Fraction]:
     """a_beta / P_beta, the terms of R."""
-    return [Fraction(a) / p for a, p in zip(fs.a, ps)]
+    return [a / p for a, p in zip(fs.a, ps)]
 
 
 def _volume_coeff(flag: ParabolicFlag, ps) -> Fraction:
-    coeff = Fraction(1)
-    for idx, p in zip(flag.comp_pos_roots, ps):
-        coeff *= p / rho_pairing(flag.rs, idx)
-    return coeff
+    """prod_beta P_beta / prod_beta <rho, h_beta^v>, one exact division."""
+    rho_prod = math.prod(rho_pairing(flag.rs, idx) for idx in flag.comp_pos_roots)
+    return math.prod(ps) / rho_prod
 
 
 def scalar_curvature(fs: FlowSolution, t) -> Fraction:
@@ -209,4 +204,4 @@ def lambda1_bounds(fs: FlowSolution, t) -> tuple[Fraction, Fraction]:
 
 def flow_of_divisor(flag: ParabolicFlag, coeffs: DivisorClass) -> FlowSolution:
     """The flow started at the class of an ample divisor (b = d)."""
-    return make_flow(flag, tuple(Fraction(c) for c in coeffs))
+    return make_flow(flag, coeffs)

@@ -84,18 +84,6 @@ def degree(flag: ParabolicFlag, coeffs: DivisorClass) -> Fraction:
     return _degree(flow_of_divisor(flag, coeffs))
 
 
-def divisor_at(flag: ParabolicFlag, coeffs: DivisorClass, t) -> DivisorClass:
-    """The ray D_t = D + t * K_{X_P}, valid while it stays ample."""
-    require_ample(flag, coeffs)
-    t = Fraction(t)
-    if t < 0:
-        raise DomainError(f"negative time t = {t}")
-    if t >= script_T(flag, coeffs):
-        raise DomainError(
-            f"class leaves the ample cone: t = {t} >= {script_T(flag, coeffs)}")
-    return tuple(Fraction(c) - t * l for c, l in zip(coeffs, flag.fano))
-
-
 def lct_lower(flag: ParabolicFlag, coeffs: DivisorClass, m: int) -> LctReport:
     """Log canonical threshold bound m / C(mD), with klt and lc verdicts.
 

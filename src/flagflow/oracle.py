@@ -37,22 +37,18 @@ DEFAULT_TYPES = (
 
 FD_CHECKS = frozenset({"ricci_identity_fd"})
 
+MAX_COEFF = 10              # bound for random b numerators/denominators
+SAMPLES_PER_INSTANCE = 10   # sampled times per instance for bound chains
+FD_STEP = 1e-6
+FD_TOL = 1e-6               # relative
+MAX_Q = 64                  # nef brute-force denominator bound
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
     types: tuple[tuple[str, int], ...] = DEFAULT_TYPES
-    max_coeff: int = 10             # bound for random b numerators/denominators
-    samples_per_instance: int = 10  # sampled times per instance for bound chains
     classes_per_flag: int = 3       # random Kahler classes per flag (plus one Einstein)
     seed: int = 0
-    fd_step: float = 1e-6
-    fd_tol: float = 1e-6            # relative
-    max_q: int = 64                 # nef brute-force denominator bound
-
-    def __post_init__(self) -> None:
-        assert self.samples_per_instance >= 2, "need at least two sampled times"
-        assert self.fd_step > 0, "finite-difference step must be positive"
-        assert self.max_coeff >= 1 and self.classes_per_flag >= 0
 
 
 @dataclass(frozen=True)
@@ -142,7 +138,7 @@ def _scalar_float(fs: FlowSolution, t: float) -> float:
 
 
 def check_ricci_identity(
-    fs: FlowSolution, fd_step: float = 1e-6, fd_tol: float = 1e-6,
+    fs: FlowSolution, fd_step: float = FD_STEP, fd_tol: float = FD_TOL,
 ) -> tuple[CheckOutcome, CheckOutcome]:
     """dR/dt = |Ric|^2, exactly and by central finite differences.
 
@@ -214,7 +210,7 @@ def check_trajectory_bounds(fs: FlowSolution, samples: int) -> dict[str, CheckOu
     return outcomes
 
 
-def brute_nef(flag: ParabolicFlag, coeffs, max_q: int = 64) -> Fraction | None:
+def brute_nef(flag: ParabolicFlag, coeffs, max_q: int = MAX_Q) -> Fraction | None:
     """Nef value by grid search over p/q: minimize p/q with p*D + q*K >= 0.
 
     Returns None ("inconclusive") when the grid cannot certify the exact
@@ -278,9 +274,8 @@ def check_weyl_gt_grid(max_coord: int = 3) -> CheckOutcome:
     for rank in (1, 2, 3):
         rs = build_root_system("A", rank)
         for coords in product(range(max_coord + 1), repeat=rank):
-            weight = tuple(Fraction(c) for c in coords)
-            w = weyl_dim(rs, weight)
-            g = gt_count(rs, weight)
+            w = weyl_dim(rs, coords)
+            g = gt_count(rs, coords)
             if w != g:
                 return CheckOutcome(False, {
                     "check": "weyl_gt_grid",
@@ -322,23 +317,20 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
             classes = [tuple(Fraction(l) for l in flag.fano)]
             for _ in range(cfg.classes_per_flag):
                 classes.append(tuple(
-                    Fraction(rng.randint(1, cfg.max_coeff),
-                             rng.randint(1, cfg.max_coeff))
+                    Fraction(rng.randint(1, MAX_COEFF), rng.randint(1, MAX_COEFF))
                     for _ in flag.complement))
             for b in classes:
                 fs = make_flow(flag, b)
                 instances += 1
                 record("scalar_volume_identity", check_scalar_volume_identity(fs))
-                exact, fd = check_ricci_identity(fs, cfg.fd_step, cfg.fd_tol)
+                exact, fd = check_ricci_identity(fs)
                 record("ricci_identity_exact", exact)
                 record("ricci_identity_fd", fd)
-                for name, outcome in check_trajectory_bounds(
-                        fs, cfg.samples_per_instance).items():
+                for name, outcome in check_trajectory_bounds(fs, SAMPLES_PER_INSTANCE).items():
                     record(name, outcome)
             divisor = tuple(
-                Fraction(rng.randint(1, cfg.max_coeff)) for _ in flag.complement)
-            for name, outcome in check_nef_consistency(
-                    flag, divisor, cfg.max_q).items():
+                Fraction(rng.randint(1, MAX_COEFF)) for _ in flag.complement)
+            for name, outcome in check_nef_consistency(flag, divisor, MAX_Q).items():
                 record(name, outcome)
             record("scale_laws", check_scale_laws(flag, divisor, rng.randint(2, 4)))
 

@@ -29,7 +29,7 @@ class ParabolicFlag:
     theta: tuple[int, ...]          # 1-based simple-root indices, ascending
     complement: tuple[int, ...]     # Sigma \ Theta, ascending
     comp_pos_roots: tuple[int, ...]  # indices into rs.positive_roots
-    delta_p: Weight                 # anticanonical weight, integer coords
+    delta_p: tuple[int, ...]        # anticanonical weight, fundamental-weight coords
     fano: tuple[int, ...]           # l_alpha = <delta_P, h_alpha^v>, per complement
     n: int                          # complex dimension = #comp_pos_roots
 
@@ -68,12 +68,9 @@ def build_flag(rs: RootSystem, theta) -> ParabolicFlag:
     delta_p = fund_coords(rs, tuple(total))
     assert all(delta_p[i - 1] == 0 for i in th), \
         "delta_P has support on Theta"
-    fano = []
-    for a in complement:
-        la = delta_p[a - 1]
-        assert la.denominator == 1 and la > 0, "Fano coefficient not a positive integer"
-        fano.append(int(la))
-    return ParabolicFlag(rs, th, complement, comp, delta_p, tuple(fano), len(comp))
+    fano = tuple(delta_p[a - 1] for a in complement)
+    assert all(la > 0 for la in fano), "Fano coefficient not positive"
+    return ParabolicFlag(rs, th, complement, comp, delta_p, fano, len(comp))
 
 
 def require_length(flag: ParabolicFlag, coeffs) -> None:
@@ -93,9 +90,9 @@ def char_of_divisor(flag: ParabolicFlag, coeffs: DivisorClass) -> Weight:
     return tuple(out)
 
 
-def canonical_divisor(flag: ParabolicFlag) -> DivisorClass:
+def canonical_divisor(flag: ParabolicFlag) -> tuple[int, ...]:
     """K_{X_P} = -sum l_alpha * D_alpha."""
-    return tuple(Fraction(-l) for l in flag.fano)
+    return tuple(-l for l in flag.fano)
 
 
 def is_ample(flag: ParabolicFlag, coeffs: DivisorClass) -> bool:

@@ -17,8 +17,9 @@ where w_j are the fundamental weights. Both quantities are positive
 integers; construction asserts this. Fundamental-weight coordinates of
 beta itself are the row vector k times the Cartan matrix.
 
-Weights are coordinate tuples over the fundamental weights, exact
-rationals throughout.
+Weights are coordinate tuples over the fundamental weights. Integral
+weights (rho, delta_P, the roots themselves) carry ints, and pairings of
+them stay ints; a rational weight carries Fractions.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DomainError
 
 Root = tuple[int, ...]
-Weight = tuple[Fraction, ...]
+Weight = tuple[int | Fraction, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 # family -> (min rank, max rank or None for unbounded)
@@ -93,20 +94,21 @@ def cartan_matrix(family: str, rank: int) -> Matrix:
 def symmetrizers(cartan: Matrix) -> tuple[int, ...]:
     """Coprime positive integers d with a_ij * d_j = a_ji * d_i."""
     l = len(cartan)
-    vals: list[Fraction | None] = [None] * l
-    vals[0] = Fraction(1)
+    vals = [1] + [0] * (l - 1)
     queue = [0]
     while queue:
         i = queue.pop()
         for j in range(l):
-            if j != i and cartan[i][j] != 0 and vals[j] is None:
-                vals[j] = vals[i] * cartan[j][i] / cartan[i][j]
+            if j != i and cartan[i][j] != 0 and vals[j] == 0:
+                # d_j = d_i * a_ji / a_ij: rescale the values so far to make it integral
+                num = vals[i] * cartan[j][i]
+                scale = abs(cartan[i][j]) // gcd(num, cartan[i][j])
+                vals = [v * scale for v in vals]
+                vals[j] = num * scale // cartan[i][j]
                 queue.append(j)
-    assert all(v is not None and v > 0 for v in vals), "Dynkin graph not connected"
-    scale = lcm(*(v.denominator for v in vals))
-    ints = [int(v * scale) for v in vals]
-    g = gcd(*ints)
-    d = tuple(v // g for v in ints)
+    assert all(v > 0 for v in vals), "Dynkin graph not connected"
+    g = gcd(*vals)
+    d = tuple(v // g for v in vals)
     assert all(
         cartan[i][j] * d[j] == cartan[j][i] * d[i]
         for i in range(l) for j in range(l)
@@ -195,28 +197,21 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     roots = positive_roots_from_cartan(cartan)
     rows = tuple(_pairing_row(cartan, d, k) for k in roots)
     rs = RootSystem(family, rank, cartan, d, roots, rows)
-    assert _double_rho(rs) == tuple(2 for _ in range(rank)), \
+    total = tuple(sum(k[i] for k in roots) for i in range(rank))
+    assert fund_coords(rs, total) == (2,) * rank, \
         "sum of positive roots is not 2*rho in the fundamental-weight basis"
     return rs
 
 
-def _double_rho(rs: RootSystem) -> tuple[int, ...]:
-    total = [sum(k[i] for k in rs.positive_roots) for i in range(rs.rank)]
-    return tuple(
-        sum(total[i] * rs.cartan[i][j] for i in range(rs.rank))
-        for j in range(rs.rank)
-    )
-
-
-def rho(rs: RootSystem) -> Weight:
+def rho(rs: RootSystem) -> tuple[int, ...]:
     """Half sum of the positive roots: coordinates (1, ..., 1)."""
-    return tuple(Fraction(1) for _ in range(rs.rank))
+    return (1,) * rs.rank
 
 
-def fund_coords(rs: RootSystem, k: Root) -> Weight:
+def fund_coords(rs: RootSystem, k: Root) -> tuple[int, ...]:
     """Fundamental-weight coordinates of the root with coefficient vector k."""
     return tuple(
-        Fraction(sum(k[i] * rs.cartan[i][j] for i in range(rs.rank)))
+        sum(k[i] * rs.cartan[i][j] for i in range(rs.rank))
         for j in range(rs.rank)
     )
 
@@ -229,10 +224,12 @@ def _row(rs: RootSystem, root_index: int) -> tuple[int, ...]:
     return rs.pairing_rows[root_index]
 
 
-def pairing(rs: RootSystem, weight: Weight, root_index: int) -> Fraction:
-    """<weight, h_beta^v> for beta = positive_roots[root_index]."""
-    row = _row(rs, root_index)
-    return sum((Fraction(m) * r for m, r in zip(weight, row)), Fraction(0))
+def pairing(rs: RootSystem, weight: Weight, root_index: int) -> int | Fraction:
+    """<weight, h_beta^v> for beta = positive_roots[root_index].
+
+    An int for an integral weight, a Fraction for a rational one.
+    """
+    return sum(m * r for m, r in zip(weight, _row(rs, root_index)))
 
 
 def rho_pairing(rs: RootSystem, root_index: int) -> int:

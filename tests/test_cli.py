@@ -135,15 +135,22 @@ def test_invariants_builds_one_flow(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_closed_stdout_exits_two_without_traceback():
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["describe", *A2_FULL], ["--version"], ["--help"], ["describe", "--help"],
+], ids=["describe", "version", "help", "describe-help"])
+def test_closed_stdout_exits_two_without_traceback(argv, unbuffered):
     src = str(Path(flagflow.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "flagflow.cli", "describe", *A2_FULL],
+            [sys.executable, "-m", "flagflow.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
     finally:
         os.close(write_end)
@@ -341,3 +348,12 @@ def test_internal_assertion_exits_four(capsys, monkeypatch):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == "0.1.0"
+
+
+def test_help_goes_to_stdout_and_usage_errors_to_stderr(capsys):
+    assert main(["describe", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: flagflow describe") and err == ""
+    assert main(["describe"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: --type and --rank are required" in err

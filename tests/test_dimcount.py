@@ -56,6 +56,18 @@ def test_weyl_dim_of_rho_and_two_rho_in_rank_three():
     assert weyl_dim(rs2, (2, 2)) == 27
 
 
+@pytest.mark.parametrize("family,rank", [
+    ("A", 20), ("B", 12), ("C", 12), ("D", 16),
+    ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
+])
+def test_weyl_dim_of_rho_and_delta_p_past_rank_six(family, rank):
+    """dim V(k rho) = (k+1)^|Phi+|; in the Borel case delta_P = 2 rho."""
+    rs = build_root_system(family, rank)
+    assert weyl_dim(rs, rho(rs)) == 2 ** len(rs.positive_roots)
+    flag = build_flag(rs, ())
+    assert flag.delta_dim == 3 ** flag.n
+
+
 def test_weyl_dim_rejects_non_dominant_or_non_integral():
     rs = build_root_system("A", 2)
     with pytest.raises(DomainError):

@@ -13,16 +13,21 @@ from flagflow import (
     bounds_report,
     build_flag,
     build_root_system,
+    canonical_divisor,
     class_at,
     diameter_bound,
     flow_of_divisor,
+    fund_coords,
     lambda1_bounds,
     make_flow,
     p_values,
+    pairing,
     ricci_lower_constant,
     ricci_norm_sq,
+    rho,
     scalar_curvature,
     volume,
+    weyl_dim,
 )
 
 
@@ -190,3 +195,16 @@ def test_scalar_curvature_strictly_increasing(t1, t2):
     lo, hi = sorted((t1, t2))
     if lo != hi:
         assert scalar_curvature(fs, lo) < scalar_curvature(fs, hi)
+
+
+def test_integral_lie_data_are_ints():
+    rs = build_root_system("B", 3)
+    flag = build_flag(rs, (2,))
+    fs = make_flow(flag, (Fraction(1, 2), Fraction(3)))
+    values = [
+        *flag.delta_p, *fund_coords(rs, rs.positive_roots[-1]), *canonical_divisor(flag),
+        *fs.a, *fs.p_slope, weyl_dim(rs, flag.delta_p), pairing(rs, rho(rs), 0),
+    ]
+    assert all(type(x) is int for x in values)
+    # a rational weight still pairs to a Fraction
+    assert type(pairing(rs, (Fraction(1, 2), 0, 0), 0)) is Fraction

@@ -10,8 +10,8 @@ from flagflow import (
     DomainError,
     build_flag,
     build_root_system,
+    class_at,
     degree,
-    divisor_at,
     flow_of_divisor,
     invariants_of,
     lct_lower,
@@ -62,13 +62,13 @@ def test_degree_requires_ample():
         degree(p2(), (Fraction(0),))
 
 
-def test_divisor_at_moves_linearly_and_respects_cone():
-    flag = a2_full()
+def test_divisor_class_moves_linearly_and_respects_cone():
     d = (Fraction(1), Fraction(2))
-    assert divisor_at(flag, d, Fraction(0)) == d
-    assert divisor_at(flag, d, Fraction(1, 4)) == (Fraction(1, 2), Fraction(3, 2))
-    with pytest.raises(DomainError, match="ample cone"):
-        divisor_at(flag, d, Fraction(1, 2))
+    fs = flow_of_divisor(a2_full(), d)
+    assert class_at(fs, Fraction(0)) == d
+    assert class_at(fs, Fraction(1, 4)) == (Fraction(1, 2), Fraction(3, 2))
+    with pytest.raises(DomainError, match="past singular time"):
+        class_at(fs, Fraction(1, 2))
 
 
 def test_lct_lower_frozen_examples():
