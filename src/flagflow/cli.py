@@ -21,7 +21,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
-from .errors import DomainError
+from .errors import BudgetExceeded, DomainError
 from .flow import (
     bounds_report,
     class_at,
@@ -46,6 +46,7 @@ BOUND_KEYS = (
 )
 CSV_HEADER = ["t", "R", "ricci_norm_sq", "vol_coeff", "R_lower", "R_upper"]
 DEFAULT_SAMPLES = 10
+MAX_SAMPLES = 10_000
 DEFAULT_T_MAX_FRACTION = "99/100"
 
 
@@ -147,13 +148,25 @@ def _indices(name: str, value) -> list[int]:
     return out
 
 
-# typed fields; t and t_max_fraction stay as given and are parsed where used
+def _rational(name: str, value) -> str | int:
+    if isinstance(value, str) or type(value) is int:
+        return value
+    raise UsageError(f"{name} must be a rational (a string or an integer), got {value!r}")
+
+
+def _rationals(name: str, value) -> list:
+    return [_rational(name, v) for v in _items(name, value)]
+
+
+# typed fields; rationals stay as given and are parsed where used
 READERS = {
     "rank": _integer,
     "theta": _indices,
-    "class": _items,
-    "divisor": _items,
+    "class": _rationals,
+    "divisor": _rationals,
+    "t": _rational,
     "samples": _integer,
+    "t_max_fraction": _rational,
 }
 
 
@@ -175,8 +188,9 @@ def read_descriptor(args) -> dict:
     """The one validation point: flags or a --job object to a checked descriptor.
 
     Both sources are read alike: list fields take a list or a comma-separated
-    string, integer fields an integer or its decimal string. Rationals are
-    kept as given, so the "input" echo shows them verbatim.
+    string, integer fields an integer or its decimal string, rational fields
+    (and list elements) a string or an integer. Rationals are kept as given,
+    so the "input" echo shows them verbatim.
     """
     given = {key: getattr(args, key, None) for key in DESCRIPTOR_KEYS}
     given = {key: value for key, value in given.items() if value is not None}
@@ -197,10 +211,13 @@ def read_descriptor(args) -> dict:
     if args.command == "flow":
         if ("class" in desc) == ("divisor" in desc):
             raise UsageError("provide exactly one of --class or --divisor")
-        if "t" in desc and "samples" in desc:
-            raise UsageError("--t and --samples are mutually exclusive")
+        if "t" in desc and {"samples", "t_max_fraction"} & desc.keys():
+            raise UsageError("--t excludes --samples and --t-max-fraction")
         if desc.get("samples", 1) < 1:
             raise UsageError("--samples must be at least 1")
+        if desc.get("samples", 1) > MAX_SAMPLES:
+            raise BudgetExceeded(
+                f"--samples {desc['samples']} is over the budget of {MAX_SAMPLES}")
         if args.format == "csv" and not args.output:
             raise UsageError("--format csv requires --output "
                              "(the exact-value sidecar is written next to it)")

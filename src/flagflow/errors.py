@@ -1,7 +1,7 @@
 """Error types shared across the package.
 
 DomainError marks input rejected on mathematical grounds; the CLI maps it
-to exit code 3. BudgetExceeded is the guard on exhaustive enumerations.
+to exit code 3. BudgetExceeded guards input sizes and exhaustive enumerations.
 Internal consistency failures raise plain AssertionError (CLI exit 4).
 """
 

@@ -62,7 +62,7 @@ class LctReport:
 
 def nef_value(flag: ParabolicFlag, coeffs: DivisorClass) -> Fraction:
     require_ample(flag, coeffs)
-    return max(Fraction(l) / Fraction(c) for l, c in zip(flag.fano, coeffs))
+    return max(l / Fraction(c) for l, c in zip(flag.fano, coeffs))
 
 
 def script_T(flag: ParabolicFlag, coeffs: DivisorClass) -> Fraction:
@@ -71,7 +71,7 @@ def script_T(flag: ParabolicFlag, coeffs: DivisorClass) -> Fraction:
 
 def script_C(flag: ParabolicFlag, coeffs: DivisorClass) -> Fraction:
     require_ample(flag, coeffs)
-    return 2 * max(Fraction(c) / Fraction(l) for l, c in zip(flag.fano, coeffs))
+    return 2 * max(Fraction(c) / l for l, c in zip(flag.fano, coeffs))
 
 
 def _degree(fs: FlowSolution) -> Fraction:

@@ -152,7 +152,7 @@ def check_ricci_identity(
         t = fs.T * k / (n + 2)
         lhs = Fraction(0)
         for a, p, s in zip(fs.a, p_values(fs, t), fs.p_slope):
-            lhs += -Fraction(a) * s / (p * p)
+            lhs += -a * s / (p * p)
         rhs = ricci_norm_sq(fs, t)
         if lhs != rhs:
             exact = CheckOutcome(False, _counterexample(
@@ -314,7 +314,7 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
         rs = build_root_system(family, rank)
         for theta in _proper_subsets(rank):
             flag = build_flag(rs, theta)
-            classes = [tuple(Fraction(l) for l in flag.fano)]
+            classes = [flag.fano]
             for _ in range(cfg.classes_per_flag):
                 classes.append(tuple(
                     Fraction(rng.randint(1, MAX_COEFF), rng.randint(1, MAX_COEFF))

@@ -3,19 +3,15 @@
 Roots are stored as coefficient vectors over the simple roots, never as
 Euclidean vectors: beta = sum_i k_i * alpha_i with k_i non-negative
 integers. Everything reduces to integer arithmetic on the Cartan matrix
+a_ij = <alpha_i, h_{alpha_j}^v>. The positive roots and their coroots come
+from one closure of the simple roots under the simple reflections. The
+coroot's coefficients over the simple coroots are <w_j, h_beta^v> for the
+fundamental weights w_j: beta's row of the pairing table. Fundamental-weight
+coordinates of beta itself are the row vector k times the Cartan matrix.
 
-    a_ij = <alpha_i, h_{alpha_j}^v>
-
-and its symmetrizers d_1, ..., d_l: the unique coprime positive integers
-with a_ij * d_j symmetric (d_i is half the squared length of alpha_i in
-that normalization). For a positive root beta with coefficient vector k,
-
-    d_beta = (sum_ij k_i k_j a_ij d_j) / 2
-    <w_j, h_beta^v> = k_j * d_j / d_beta
-
-where w_j are the fundamental weights. Both quantities are positive
-integers; construction asserts this. Fundamental-weight coordinates of
-beta itself are the row vector k times the Cartan matrix.
+The symmetrizers d_i (coprime, with a_ij * d_j symmetric) are half the
+squared root lengths. With d_beta = (sum_ij k_i k_j a_ij d_j) / 2 they give
+<w_j, h_beta^v> = k_j * d_j / d_beta, an identity the tests check.
 
 Weights are coordinate tuples over the fundamental weights. Integral
 weights (rho, delta_P, the roots themselves) carry ints, and pairings of
@@ -29,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError
+from .errors import BudgetExceeded, DomainError
 
 Root = tuple[int, ...]
 Weight = tuple[int | Fraction, ...]
@@ -45,10 +41,14 @@ RANK_RANGE = {
     "F": (4, 4),
     "G": (2, 2),
 }
+# A70, B50, C50 and D50 are the largest classical types admitted; E8 has 120
+MAX_POSITIVE_ROOTS = 2500
+# E8's highest root has the largest coefficient of any finite-type root
+MAX_ROOT_COEFF = 6
 
 
 def validate_type(family: str, rank: int) -> None:
-    """Reject (family, rank) pairs outside the classification."""
+    """Reject (family, rank) pairs outside the classification or the size budget."""
     if family not in RANK_RANGE:
         raise DomainError(f"unknown family {family!r}; expected one of A-G")
     lo, hi = RANK_RANGE[family]
@@ -56,6 +56,12 @@ def validate_type(family: str, rank: int) -> None:
         bound = f"rank >= {lo}" if hi is None else (
             f"rank in {{{lo}}}" if lo == hi else f"rank in {{{lo},...,{hi}}}")
         raise DomainError(f"family {family} requires {bound} (got {rank})")
+    count = {"A": rank * (rank + 1) // 2, "B": rank * rank, "C": rank * rank,
+             "D": rank * (rank - 1)}.get(family, 0)
+    if count > MAX_POSITIVE_ROOTS:
+        raise BudgetExceeded(
+            f"{family}{rank} has {count} positive roots, over the budget of "
+            f"{MAX_POSITIVE_ROOTS}")
 
 
 def cartan_matrix(family: str, rank: int) -> Matrix:
@@ -116,64 +122,39 @@ def symmetrizers(cartan: Matrix) -> tuple[int, ...]:
     return d
 
 
-def positive_roots_from_cartan(cartan: Matrix) -> tuple[Root, ...]:
-    """All positive roots of a finite-type Cartan matrix, by closure.
+def _coroots(cartan: Matrix) -> dict[Root, Root]:
+    """Each positive root of a finite-type Cartan matrix mapped to its coroot.
 
-    Starting from the simple roots, beta + alpha_j is adjoined whenever
-    <beta, h_{alpha_j}^v> - q < 0, where q is the largest m such that
-    beta - m * alpha_j is already a root. Processing height by height
-    keeps the downward strings complete, so the condition is exact.
-
-    Output is ordered by height, ties broken lexicographically. The
-    highest root has height h - 1 for the Coxeter number h, which is at
-    most 2l in the classical types (B_l, C_l) and 30 in the exceptional
-    ones (E8); anything deeper means a bad Cartan matrix.
+    Starting from the simple roots, each its own coroot, a found root k with
+    c = <k, h_{alpha_j}^v> < 0 gives the positive root s_j(k) = k - c * alpha_j
+    and its coroot s_j(k^v): s_j permutes the positive roots other than
+    alpha_j, on roots and coroots alike (Humphreys, Lie algebras, 10.2
+    Lemma B). Ordered by height, ties broken lexicographically.
     """
     l = len(cartan)
-    if l == 0:
-        return ()
-    current: list[Root] = sorted(
-        tuple(int(i == j) for j in range(l)) for i in range(l))
-    found: set[Root] = set(current)
-    result: list[Root] = list(current)
-    for _height in range(max(2 * l, 30)):
-        nxt: set[Root] = set()
-        for k in current:
-            for j in range(l):
-                pair = sum(k[i] * cartan[i][j] for i in range(l))
-                q = 0
-                down = list(k)
-                while True:
-                    down[j] -= 1
-                    if down[j] < 0 or tuple(down) not in found:
-                        break
-                    q += 1
-                if pair - q < 0:
-                    up = list(k)
-                    up[j] += 1
-                    nxt.add(tuple(up))
-        if not nxt:
-            return tuple(result)
-        current = sorted(nxt)
-        found.update(nxt)
-        result.extend(current)
-    raise AssertionError("root generation did not terminate; matrix not finite type")
+    coroot = {k: k for k in (tuple(int(i == j) for j in range(l)) for i in range(l))}
+    todo = list(coroot)
+    while todo:
+        k = todo.pop()
+        kv = coroot[k]
+        for j in range(l):
+            c = sum(k[i] * cartan[i][j] for i in range(l))
+            if c >= 0:
+                continue
+            up = k[:j] + (k[j] - c,) + k[j + 1:]
+            if up[j] > MAX_ROOT_COEFF:
+                raise AssertionError(
+                    f"root coefficient above {MAX_ROOT_COEFF}; matrix not finite type")
+            if up not in coroot:
+                cv = sum(kv[i] * cartan[j][i] for i in range(l))
+                coroot[up] = kv[:j] + (kv[j] - cv,) + kv[j + 1:]
+                todo.append(up)
+    return {k: coroot[k] for k in sorted(coroot, key=lambda k: (sum(k), k))}
 
 
-def _pairing_row(cartan: Matrix, d: tuple[int, ...], k: Root) -> tuple[int, ...]:
-    l = len(d)
-    two_d_beta = sum(
-        k[i] * k[j] * cartan[i][j] * d[j]
-        for i in range(l) for j in range(l)
-    )
-    assert two_d_beta > 0 and two_d_beta % 2 == 0, "root has invalid squared length"
-    d_beta = two_d_beta // 2
-    row = []
-    for j in range(l):
-        num = k[j] * d[j]
-        assert num % d_beta == 0, "pairing table entry not integral"
-        row.append(num // d_beta)
-    return tuple(row)
+def positive_roots_from_cartan(cartan: Matrix) -> tuple[Root, ...]:
+    """All positive roots of a finite-type Cartan matrix, by height then lex."""
+    return tuple(_coroots(cartan))
 
 
 @dataclass(frozen=True)
@@ -185,7 +166,8 @@ class RootSystem:
     cartan: Matrix
     d: tuple[int, ...]
     positive_roots: tuple[Root, ...]
-    # pairing_rows[b][j] = <w_j, h_beta^v> for beta = positive_roots[b]
+    # pairing_rows[b][j] = <w_j, h_beta^v> for beta = positive_roots[b]: the
+    # coefficients of the coroot h_beta^v over the simple coroots
     pairing_rows: tuple[tuple[int, ...], ...]
 
 
@@ -193,10 +175,8 @@ class RootSystem:
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct (and memoize) the root system of the given simple type."""
     cartan = cartan_matrix(family, rank)
-    d = symmetrizers(cartan)
-    roots = positive_roots_from_cartan(cartan)
-    rows = tuple(_pairing_row(cartan, d, k) for k in roots)
-    rs = RootSystem(family, rank, cartan, d, roots, rows)
+    roots, rows = zip(*_coroots(cartan).items())
+    rs = RootSystem(family, rank, cartan, symmetrizers(cartan), roots, rows)
     total = tuple(sum(k[i] for k in roots) for i in range(rank))
     assert fund_coords(rs, total) == (2,) * rank, \
         "sum of positive roots is not 2*rho in the fundamental-weight basis"

@@ -300,6 +300,9 @@ def test_usage_errors_exit_two(capsys):
     assert main(["flow", *A2_FULL, "--class", "1,2", "--samples", "0"]) == 2
     assert main(["describe", "--type", "A", "--rank", "3", "--theta", "2,2"]) == 2
     assert main(["describe", "--type", "A", "--rank", "2.7"]) == 2
+    for fraction in ("abc", "7", "1/2"):
+        assert main(["flow", *A2_FULL, "--class", "1,2", "--t", "1/4",
+                     "--t-max-fraction", fraction]) == 2
     capsys.readouterr()
 
 
@@ -319,6 +322,13 @@ def test_job_conflicts_exit_two(capsys, tmp_path):
         ({**a2, "samples": 0}, "samples"),
         ({**a2, "class": 5}, "class"),
         ({"lie_family": ["A"], "rank": 2}, "lie_family"),
+        ({**a2, "t": [1]}, "t must be a rational"),
+        ({**a2, "t": True}, "t must be a rational"),
+        ({**a2, "class": [[1], 2]}, "class"),
+        ({**a2, "class": [1.5, 2]}, "class"),
+        ({**a2, "t_max_fraction": 0.5}, "t_max_fraction"),
+        ({"lie_family": "A", "rank": 2, "divisor": [True, 1]}, "divisor"),
+        ({**a2, "t": "1/4", "t_max_fraction": "1/2"}, "--t excludes"),
     ]:
         job.write_text(json.dumps(bad))
         assert main(["flow", "--job", str(job)]) == 2, bad
@@ -334,6 +344,15 @@ def test_domain_errors_exit_three(capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "singular time" in err
+    for argv, reason in [
+        (["describe", "--type", "A", "--rank", "1000000"], "positive roots, over the budget"),
+        (["describe", "--type", "D", "--rank", "51"], "positive roots, over the budget"),
+        (["flow", *P1, "--class", "1", "--samples", "10001"], "--samples 10001 is over"),
+        (["flow", *A2_FULL, "--class", "1,2", "--t", "abc"], "not a rational number"),
+    ]:
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert reason in err and "Traceback" not in err, argv
 
 
 def test_internal_assertion_exits_four(capsys, monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flagflow import (
+    BudgetExceeded,
     DomainError,
     build_root_system,
     fund_coords,
@@ -14,6 +15,7 @@ from flagflow import (
     positive_roots_from_cartan,
     rho,
     rho_pairing,
+    validate_type,
 )
 
 CLASSICAL_COUNTS = [
@@ -106,6 +108,56 @@ def test_highest_root_of_height_65_is_reached(family, rank):
     rs = build_root_system(family, rank)
     assert sum(rs.positive_roots[-1]) == 65
     assert len(rs.positive_roots) == {"A": 2145, "B": 1089, "C": 1089, "D": 1122}[family]
+
+
+PAIRING_REFERENCE_TYPES = [
+    *((f, r) for f, lo in (("A", 1), ("B", 2), ("C", 3), ("D", 4)) for r in range(lo, 13)),
+    ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2), ("A", 20), ("D", 16),
+]
+
+
+@pytest.mark.parametrize("family,rank", PAIRING_REFERENCE_TYPES)
+def test_pairing_rows_match_the_squared_length_formula(family, rank):
+    # <w_j, h_beta^v> = k_j d_j / d_beta with d_beta = sum_ij k_i k_j a_ij d_j / 2:
+    # an independent reference for the coroots built by reflections
+    rs = build_root_system(family, rank)
+    a, d = rs.cartan, rs.d
+    for k, row in zip(rs.positive_roots, rs.pairing_rows):
+        two_d_beta = sum(k[i] * k[j] * a[i][j] * d[j]
+                         for i in range(rank) for j in range(rank))
+        assert row == tuple(Fraction(2 * k[j] * d[j], two_d_beta) for j in range(rank))
+
+
+@pytest.mark.parametrize("cartan", [
+    ((2, -2), (-2, 2)),                       # affine A1
+    ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),  # affine A2
+    ((2, -3), (-3, 2)),                       # hyperbolic
+])
+def test_non_finite_cartan_matrix_is_rejected(cartan):
+    with pytest.raises(AssertionError, match="not finite type"):
+        positive_roots_from_cartan(cartan)
+
+
+@pytest.mark.parametrize("name", [
+    *(f"A{r}" for r in range(2, 9)), *(f"B{r}" for r in range(2, 9)),
+    *(f"C{r}" for r in range(3, 9)), *(f"D{r}" for r in range(4, 9)),
+    "E6", "E7", "E8", "F4", "G2",
+])
+def test_cartan_matrix_and_root_count_match_sympy(name):
+    # sympy's A1 cartan_matrix() raises IndexError, so A starts at rank 2
+    cartan_type = pytest.importorskip("sympy.liealgebras.cartan_type").CartanType(name)
+    rs = build_root_system(name[0], int(name[1:]))
+    theirs = cartan_type.cartan_matrix()
+    assert rs.cartan == tuple(
+        tuple(int(x) for x in theirs.row(i)) for i in range(theirs.rows))
+    assert len(rs.positive_roots) == len(cartan_type.positive_roots())
+
+
+@pytest.mark.parametrize("family,rank", [("A", 70), ("B", 50), ("C", 50), ("D", 50)])
+def test_positive_root_budget_admits_rank_and_refuses_the_next(family, rank):
+    validate_type(family, rank)
+    with pytest.raises(BudgetExceeded, match=f"{family}{rank + 1} has .* over the budget"):
+        validate_type(family, rank + 1)
 
 
 def test_construction_is_deterministic():
