@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -31,7 +32,7 @@ from .flow import (
 )
 from .invariants import invariants_of, lct_lower
 from .oracle import SuiteConfig, run_suite
-from .parabolic import build_flag, canonical_divisor
+from .parabolic import ParabolicFlag, build_flag, canonical_divisor
 from .rootsys import build_root_system
 
 # in the order the "input" echo lists them
@@ -48,6 +49,11 @@ CSV_HEADER = ["t", "R", "ricci_norm_sq", "vol_coeff", "R_lower", "R_upper"]
 DEFAULT_SAMPLES = 10
 MAX_SAMPLES = 10_000
 DEFAULT_T_MAX_FRACTION = "99/100"
+# n times the bits of the class over its common denominator plus the bits of
+# the time: the size of the P_beta(t) that every flow value is built from
+MAX_INPUT_BITS = 1 << 17
+# longer values carry more bits than the budget and are refused unparsed
+MAX_RATIONAL_CHARS = MAX_INPUT_BITS
 
 
 class UsageError(Exception):
@@ -55,10 +61,17 @@ class UsageError(Exception):
 
 
 def parse_rational(text) -> Fraction:
+    """A rational of any length; read_descriptor has refused the over-long ones."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
+        if len(str(text)) > 40:
+            text = f"{str(text)[:20]}... ({len(str(text))} characters)"
         raise DomainError(f"not a rational number: {text!r}") from exc
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,13 +197,45 @@ def _read_job(path: str) -> dict:
     return {key: value for key, value in data.items() if value is not None}
 
 
-def read_descriptor(args) -> dict:
-    """The one validation point: flags or a --job object to a checked descriptor.
+def _common_bits(values: list[Fraction]) -> int:
+    """Bit length of the integers that carry the values over one common denominator."""
+    den = math.lcm(*(x.denominator for x in values))
+    return max(den.bit_length(),
+               *(abs(x.numerator * (den // x.denominator)).bit_length() for x in values))
+
+
+def _require_input_budget(n: int, desc: dict, timed: bool) -> None:
+    """Refuse a class (or divisor), and for a flow its time, whose P_beta(t)
+    would be too large; a value too long to carry fewer bits is refused unparsed."""
+    fields = ["class" if "class" in desc else "divisor"]
+    if timed:
+        fields.append("t" if "t" in desc else "t_max_fraction")
+    size = 0
+    for key in fields:
+        values = desc.get(key, DEFAULT_T_MAX_FRACTION)
+        values = values if isinstance(values, list) else [values]
+        for value in values:
+            if len(str(value)) > MAX_RATIONAL_CHARS:
+                raise BudgetExceeded(
+                    f"--{key.replace('_', '-')}: a value of {len(str(value))} characters "
+                    f"is over the budget of {MAX_RATIONAL_CHARS}")
+        size += _common_bits([parse_rational(x) for x in values])
+    if n * size > MAX_INPUT_BITS:
+        names = " and ".join("--" + key.replace("_", "-") for key in fields)
+        raise BudgetExceeded(
+            f"{names}: n = {n} times {size} bits is {n * size} bits, "
+            f"over the budget of {MAX_INPUT_BITS}")
+
+
+def read_descriptor(args) -> tuple[dict, ParabolicFlag]:
+    """The one validation point: flags or a --job object to a checked
+    descriptor and its flag variety.
 
     Both sources are read alike: list fields take a list or a comma-separated
     string, integer fields an integer or its decimal string, rational fields
     (and list elements) a string or an integer. Rationals are kept as given,
-    so the "input" echo shows them verbatim.
+    so the "input" echo shows them verbatim. A class, divisor or time over
+    the input budget is refused before any flow arithmetic.
     """
     given = {key: getattr(args, key, None) for key in DESCRIPTOR_KEYS}
     given = {key: value for key, value in given.items() if value is not None}
@@ -223,7 +268,10 @@ def read_descriptor(args) -> dict:
                              "(the exact-value sidecar is written next to it)")
     if args.command == "invariants" and "divisor" not in desc:
         raise UsageError("invariants requires --divisor")
-    return desc
+    flag = build_flag(build_root_system(desc["lie_family"], desc["rank"]), desc["theta"])
+    if args.command in ("flow", "invariants"):
+        _require_input_budget(flag.n, desc, timed=args.command == "flow")
+    return desc, flag
 
 
 def _exact(value) -> str:
@@ -365,8 +413,7 @@ def _dispatch(args) -> int:
         _emit(doc, args.output)
         return 0 if report.exact_ok else 1
 
-    desc = read_descriptor(args)
-    flag = build_flag(build_root_system(desc["lie_family"], desc["rank"]), desc["theta"])
+    desc, flag = read_descriptor(args)
     if args.command == "describe":
         result = cmd_describe(flag)
     elif args.command == "flow":

@@ -18,22 +18,49 @@ and every quantity below is exact arithmetic in these forms:
 Curvature evaluators reject t = T (blowup); volume allows it (the limit
 is the collapsed value, 0 whenever some P_beta(T) = 0, which always
 happens because the minimizing alpha is itself a complementary root).
+
+P_beta and a_beta depend on beta only through its T-root, the pairing row
+restricted to the complement (ParabolicFlag.troots). Over the T-root groups
+g with multiplicities m_g the same quantities read
+
+    R = sum_g m_g a_g / P_g,   |Ric|^2 = sum_g m_g (a_g / P_g)^2,
+    Vol = (2 pi)^n * prod_g P_g^(m_g) / prod_beta <rho, h_beta^v>,
+
+which is the one kernel behind scalar_curvature, ricci_norm_sq, volume and
+bounds_report. make_flow clears the common denominator den of the class,
+so P_g(0) = N_g / den with integers N_g, and at t = u/v every P_g(t) is
+M_g / L over the one integer L = lcm(den, v). When the entries of the
+class share one denominator, den is that denominator and the N_g are about
+as long as the numerators. Sums and products run as balanced folds. While
+the unreduced result stays within INTEGER_FOLD_BITS they fold as integers
+with one reduction at the end; past that, each a_g / P_g (or P_g) is
+reduced on its own and every level of the fold reduces, so independent
+large denominators never meet in one huge common denominator.
+
+p_const, p_slope and a stay per root, computed from the pairing rows
+without the grouping: the oracle's per-root reference reads them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .parabolic import DivisorClass, ParabolicFlag, char_of_divisor, require_length
-from .rootsys import pairing, rho_pairing
+from .parabolic import DivisorClass, ParabolicFlag, require_length
+from .rootsys import pairing
 
 # Kahler class coefficients b_alpha > 0, aligned with flag.complement
 KahlerClass = tuple[Fraction, ...]
 
 RM_BOUND_SYMBOLIC = "C(n)/(T-t)"
+# Up to this many bits in the unreduced fold (prod_g M_g^k for a sum of k-th
+# powers, prod_g M_g^m_g for the volume) the kernel folds integers and reduces
+# once; past it, it reduces at every level. Measured crossover: 15k-45k bits,
+# lower the less the P_g share denominators.
+INTEGER_FOLD_BITS = 30_000
 
 
 @dataclass(frozen=True)
@@ -48,6 +75,9 @@ class FlowSolution:
     a: tuple[int, ...]              # <delta_P, h_beta^v>, per comp_pos_roots
     einstein: bool                  # b proportional to the Fano coefficients
     v0: Fraction                    # volume coefficient at t = 0
+    den: int                        # common denominator of b
+    # (N_g, a_g, m_g) per T-root group of flag.troots, with P_g(0) = N_g / den
+    troots: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -88,15 +118,27 @@ def make_flow(flag: ParabolicFlag, b: KahlerClass) -> FlowSolution:
     b = tuple(Fraction(x) for x in b)
     if any(x <= 0 for x in b):
         raise DomainError("initial class not Kahler: all b_alpha must be positive")
-    rs = flag.rs
-    lam0 = char_of_divisor(flag, b)
-    p_const = tuple(pairing(rs, lam0, idx) for idx in flag.comp_pos_roots)
-    a = tuple(pairing(rs, flag.delta_p, idx) for idx in flag.comp_pos_roots)
+    den = math.lcm(*(x.denominator for x in b))
+    scaled = [x.numerator * (den // x.denominator) for x in b]  # den * b, integers
+    lam0 = [0] * flag.rs.rank
+    for i, x in zip(flag.complement, scaled):
+        lam0[i - 1] = x
+    p_const = tuple(Fraction(pairing(flag.rs, lam0, idx), den) for idx in flag.comp_pos_roots)
+    a = tuple(pairing(flag.rs, flag.delta_p, idx) for idx in flag.comp_pos_roots)
     assert all(x > 0 for x in a), "delta_P does not pair positively with a complementary root"
+    # delta_P restricted to the complement is the Fano vector
+    troots = tuple(
+        (_dot(row, scaled), _dot(row, flag.fano), m) for row, m in flag.troots)
     T = min(x / l for x, l in zip(b, flag.fano))
     ratios = {x / l for x, l in zip(b, flag.fano)}
-    return FlowSolution(flag, b, T, p_const, tuple(-x for x in a), a, len(ratios) == 1,
-                        _volume_coeff(flag, p_const))
+    v0 = _volume(flag, troots, den, [num for num, _, _ in troots])
+    return FlowSolution(flag, b, T, p_const, tuple(-x for x in a), a, len(ratios) == 1, v0,
+                        den, troots)
+
+
+def _dot(row: tuple[int, ...], coeffs) -> int:
+    """<sum_alpha c_alpha w_alpha, h_beta^v> for beta with T-root row."""
+    return sum(map(operator.mul, row, coeffs))
 
 
 def _check_time(fs: FlowSolution, t, allow_T: bool = False) -> Fraction:
@@ -109,7 +151,7 @@ def _check_time(fs: FlowSolution, t, allow_T: bool = False) -> Fraction:
 
 
 def p_values(fs: FlowSolution, t: Fraction) -> tuple[Fraction, ...]:
-    """All P_beta(t)."""
+    """All P_beta(t), one per complementary root: the oracle's reference."""
     return tuple(c + s * t for c, s in zip(fs.p_const, fs.p_slope))
 
 
@@ -119,58 +161,87 @@ def class_at(fs: FlowSolution, t) -> KahlerClass:
     return tuple(x - t * l for x, l in zip(fs.b0, fs.flag.fano))
 
 
-def _rates(fs: FlowSolution, ps) -> list[Fraction]:
-    """a_beta / P_beta, the terms of R."""
-    return [a / p for a, p in zip(fs.a, ps)]
+def _balanced(items: list, combine):
+    """Fold a non-empty list pairwise, level by level, so operands stay of like size."""
+    while len(items) > 1:
+        folded = [combine(x, y) for x, y in zip(items[::2], items[1::2])]
+        if len(items) % 2:
+            folded.append(items[-1])
+        items = folded
+    return items[0]
 
 
-def _volume_coeff(flag: ParabolicFlag, ps) -> Fraction:
-    """prod_beta P_beta / prod_beta <rho, h_beta^v>, one exact division."""
-    rho_prod = math.prod(rho_pairing(flag.rs, idx) for idx in flag.comp_pos_roots)
-    return math.prod(ps) / rho_prod
+def _add_quotients(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """(p, q) + (r, s) = (ps + rq, qs), unreduced."""
+    return x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+
+
+def _numerators(fs: FlowSolution, t: Fraction) -> tuple[int, list[int]]:
+    """(L, [M_g]) with P_g(t) = M_g / L over the T-root groups, L = lcm(den, den(t))."""
+    L = math.lcm(fs.den, t.denominator)
+    scale, shift = L // fs.den, t.numerator * (L // t.denominator)
+    return L, [num * scale - a * shift for num, a, _ in fs.troots]
+
+
+def _rate_sum(troots, L: int, ms: list[int], k: int) -> Fraction:
+    """sum_g m_g * (a_g / P_g)^k for k = 1 (R) or k = 2 (|Ric|^2)."""
+    if k * sum(x.bit_length() for x in ms) <= INTEGER_FOLD_BITS:
+        num, den = _balanced(
+            [(m * a ** k, x ** k) for (_, a, m), x in zip(troots, ms)], _add_quotients)
+        return Fraction(num * L ** k, den)
+    return _balanced(
+        [m * Fraction(a * L, x) ** k for (_, a, m), x in zip(troots, ms)], operator.add)
+
+
+def _volume(flag: ParabolicFlag, troots, L: int, ms: list[int]) -> Fraction:
+    """prod_g P_g^(m_g) / prod_beta <rho, h_beta^v>."""
+    if sum(m * x.bit_length() for (_, _, m), x in zip(troots, ms)) <= INTEGER_FOLD_BITS:
+        prod = _balanced([x ** m for (_, _, m), x in zip(troots, ms)], operator.mul)
+        return Fraction(prod, L ** flag.n * flag.rho_product)
+    prod = _balanced([Fraction(x, L) ** m for (_, _, m), x in zip(troots, ms)], operator.mul)
+    return prod / flag.rho_product
 
 
 def scalar_curvature(fs: FlowSolution, t) -> Fraction:
-    return sum(_rates(fs, p_values(fs, _check_time(fs, t))), Fraction(0))
+    return _rate_sum(fs.troots, *_numerators(fs, _check_time(fs, t)), 1)
 
 
 def ricci_norm_sq(fs: FlowSolution, t) -> Fraction:
-    return sum((x * x for x in _rates(fs, p_values(fs, _check_time(fs, t)))), Fraction(0))
+    return _rate_sum(fs.troots, *_numerators(fs, _check_time(fs, t)), 2)
 
 
 def volume(fs: FlowSolution, t) -> Fraction:
     """The coefficient of Vol(t) = coeff * (2 pi)^n; t = T is allowed (continuous limit)."""
-    t = _check_time(fs, t, allow_T=True)
-    return _volume_coeff(fs.flag, p_values(fs, t))
+    return _volume(fs.flag, fs.troots, *_numerators(fs, _check_time(fs, t, allow_T=True)))
 
 
 def bounds_report(fs: FlowSolution, t) -> BoundsReport:
     """Evaluate every bound along the flow exactly at t.
 
-    The P_beta(t) are evaluated once; vol(0) is fs.v0 and M = dim V(delta_P)
+    The P_g(t) are evaluated once; vol(0) is fs.v0 and M = dim V(delta_P)
     is computed once per flag.
     """
     t = _check_time(fs, t)
     n = fs.flag.n
     m = fs.flag.delta_dim
     gap = fs.T - t
-    ps = p_values(fs, t)
-    rates = _rates(fs, ps)
-    r = sum(rates, Fraction(0))
+    L, ms = _numerators(fs, t)
+    r = _rate_sum(fs.troots, L, ms, 1)
+    r_sq = r ** 2  # a power of a reduced fraction needs no gcd, unlike r * r
     shrink = 1 - t / fs.T
     return BoundsReport(
         R=r,
         R_lower=1 / gap,
         R_upper=Fraction(n) / gap,
-        ricci_norm_sq=sum((x * x for x in rates), Fraction(0)),
-        ricci_norm_sq_lower=r * r / n,
-        ricci_norm_sq_upper=r * r,
-        vol_coeff=_volume_coeff(fs.flag, ps),
+        ricci_norm_sq=_rate_sum(fs.troots, L, ms, 2),
+        ricci_norm_sq_lower=r_sq / n,
+        ricci_norm_sq_upper=r_sq,
+        vol_coeff=_volume(fs.flag, fs.troots, L, ms),
         vol_coeff_lower=shrink ** n * fs.v0,
         vol_coeff_upper=shrink * fs.v0,
         lambda1_lower=2 / ricci_lower_constant(fs),
         lambda1_upper=2 * r * m / (m - 1),
-        r_upper_attained=(r * gap == n),
+        r_upper_attained=(r == n / gap),  # reduced fractions compare without a gcd
     )
 
 

@@ -107,27 +107,31 @@ def check_scalar_volume_identity(fs: FlowSolution) -> CheckOutcome:
     """R(t) * Q(t) + Q'(t) = 0 for Q = prod P_beta, at n + 2 rational points.
 
     Both sides are polynomials of degree <= n, so n + 2 exact zeros force
-    the identity. Q' is evaluated from the stored slopes; R from the
-    stored coefficients a_beta. The two only cancel when slope = -a.
+    the identity. Q' is evaluated from the stored slopes, by prefix and
+    suffix products of the P_beta; R root by root from the stored
+    coefficients a_beta. The two only cancel when slope = -a. The flow
+    kernel's grouped R must equal that per-root R at every point.
     """
     n = fs.flag.n
     for k in range(n + 2):
         t = fs.T * k / (n + 2)
         ps = p_values(fs, t)
-        q = Fraction(1)
+        prefix = [Fraction(1)]
         for p in ps:
-            q *= p
-        qprime = Fraction(0)
-        for i, s in enumerate(fs.p_slope):
-            term = s
-            for j, p in enumerate(ps):
-                if j != i:
-                    term *= p
-            qprime += term
-        residual = scalar_curvature(fs, t) * q + qprime
-        if residual != 0:
+            prefix.append(prefix[-1] * p)
+        suffix = [Fraction(1)]
+        for p in reversed(ps):
+            suffix.append(suffix[-1] * p)
+        suffix.reverse()
+        qprime = sum(
+            (s * prefix[i] * suffix[i + 1] for i, s in enumerate(fs.p_slope)), Fraction(0))
+        r = sum((a / p for a, p in zip(fs.a, ps)), Fraction(0))
+        residual = r * prefix[-1] + qprime
+        kernel_r = scalar_curvature(fs, t)
+        if residual != 0 or kernel_r != r:
             return CheckOutcome(False, _counterexample(
-                fs.flag, b=fs.b0, check="scalar_volume_identity", t=t, residual=residual))
+                fs.flag, b=fs.b0, check="scalar_volume_identity", t=t, residual=residual,
+                R=r, kernel_R=kernel_r))
     return CheckOutcome(True)
 
 
@@ -143,21 +147,23 @@ def check_ricci_identity(
     """dR/dt = |Ric|^2, exactly and by central finite differences.
 
     The derivative side uses the stored slopes, the norm side the stored
-    coefficients, so corrupting either one breaks the equality. Returns
-    (exact outcome, finite-difference outcome).
+    coefficients, so corrupting either one breaks the equality; both are
+    summed root by root, and the flow kernel's grouped |Ric|^2 must equal
+    them. Returns (exact outcome, finite-difference outcome).
     """
     n = fs.flag.n
     exact = CheckOutcome(True)
     for k in range(n + 2):
         t = fs.T * k / (n + 2)
-        lhs = Fraction(0)
+        lhs = rhs = Fraction(0)
         for a, p, s in zip(fs.a, p_values(fs, t), fs.p_slope):
             lhs += -a * s / (p * p)
-        rhs = ricci_norm_sq(fs, t)
-        if lhs != rhs:
+            rhs += (a / p) ** 2
+        kernel = ricci_norm_sq(fs, t)
+        if not lhs == rhs == kernel:
             exact = CheckOutcome(False, _counterexample(
                 fs.flag, b=fs.b0, check="ricci_identity_exact", t=t,
-                dR_dt=lhs, ricci_norm_sq=rhs))
+                dR_dt=lhs, ricci_norm_sq=rhs, kernel_ricci_norm_sq=kernel))
             break
 
     fd = CheckOutcome(True)
@@ -213,21 +219,36 @@ def check_trajectory_bounds(fs: FlowSolution, samples: int) -> dict[str, CheckOu
 def brute_nef(flag: ParabolicFlag, coeffs, max_q: int = MAX_Q) -> Fraction | None:
     """Nef value by grid search over p/q: minimize p/q with p*D + q*K >= 0.
 
-    Returns None ("inconclusive") when the grid cannot certify the exact
-    value; never a wrong answer. The certificate is that every reduced
-    numerator of d_alpha is <= max_q and the needed p fits the p range.
+    For each q the least p in [0, p_cap] is found by bisection, since the
+    condition is monotone in p. Returns None ("inconclusive") when the grid
+    cannot certify the exact value; never a wrong answer. The certificate
+    is that every reduced numerator of d_alpha is <= max_q and the needed p
+    fits the p range.
     """
     require_ample(flag, coeffs)
     coeffs = tuple(Fraction(c) for c in coeffs)
     p_cap = max_q * max(flag.fano)
+    # p * d_alpha >= q * l_alpha, cleared of the denominator of d_alpha
+    sides = [(c.numerator, l * c.denominator) for c, l in zip(coeffs, flag.fano)]
     best: Fraction | None = None
     for q in range(1, max_q + 1):
-        for p in range(0, p_cap + 1):
-            if all(p * c >= q * l for c, l in zip(coeffs, flag.fano)):
-                candidate = Fraction(p, q)
-                if best is None or candidate < best:
-                    best = candidate
-                break
+
+        def fits(p: int) -> bool:
+            return all(p * c >= q * l for c, l in sides)
+
+        if not fits(p_cap):
+            continue
+        # fits is monotone in p: bisect for the least p in [0, p_cap] that fits
+        lo, hi = 0, p_cap
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if fits(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        candidate = Fraction(lo, q)
+        if best is None or candidate < best:
+            best = candidate
     certified = all(
         c.numerator <= max_q and l * c.denominator <= p_cap
         for c, l in zip(coeffs, flag.fano))

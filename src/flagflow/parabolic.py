@@ -5,17 +5,24 @@ complement Sigma \\ Theta: Schubert divisors D_alpha and rational curves
 P^1_alpha for alpha outside Theta. Divisor classes are coefficient
 tuples over the complement, kept in ascending Bourbaki-index order
 everywhere (class vectors, divisor vectors, JSON arrays).
+
+A complementary root pairs with a class, and with delta_P, only through its
+coroot row restricted to the complement: its T-root (Alekseevsky-Perelomov,
+Invariant Kahler-Einstein metrics on compact homogeneous spaces, 1986). The
+flag groups its complementary roots by T-root once, for the flow kernel.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .dimcount import weyl_dim
 from .errors import DomainError
-from .rootsys import RootSystem, Weight, fund_coords
+from .rootsys import RootSystem, Weight, fund_coords, rho_pairing
 
 # coefficients of sum d_alpha * D_alpha, aligned with ParabolicFlag.complement
 DivisorClass = tuple[Fraction, ...]
@@ -40,6 +47,23 @@ class ParabolicFlag:
         # delta_P pairs positively with every complementary root, so V(delta_P) is not trivial
         assert m > 1, "dim V(delta_P) = 1 leaves the eigenvalue bound undefined"
         return m
+
+    @cached_property
+    def troots(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(T-root, multiplicity) pairs, in order of first occurrence in comp_pos_roots.
+
+        The T-root of beta is its pairing row <w_alpha, h_beta^v> for alpha in
+        the complement; the multiplicities add up to n.
+        """
+        rows = self.rs.pairing_rows
+        counts = Counter(
+            tuple(rows[idx][a - 1] for a in self.complement) for idx in self.comp_pos_roots)
+        return tuple(counts.items())
+
+    @cached_property
+    def rho_product(self) -> int:
+        """prod_beta <rho, h_beta^v> over the complementary roots."""
+        return math.prod(rho_pairing(self.rs, idx) for idx in self.comp_pos_roots)
 
 
 def build_flag(rs: RootSystem, theta) -> ParabolicFlag:

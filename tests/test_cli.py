@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +20,8 @@ P2 = ["--type", "A", "--rank", "2", "--theta", "2"]
 A2_FULL = ["--type", "A", "--rank", "2"]
 P1 = ["--type", "A", "--rank", "1"]
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+# check's stdout with its one run-dependent line, "wall_time_s", left out
+CHECK_GOLDEN = Path(__file__).parent / "data" / "cli_golden_check.json"
 
 
 def sixteen_bit_class(rank, integral):
@@ -67,14 +70,18 @@ def test_describe_projective_plane(capsys):
 
 def test_stdout_bytes_match_golden(capsys, tmp_path):
     """Exact stdout of fixed requests: key order, indentation, the input echo."""
-    for case in json.loads(GOLDEN.read_text()):
+    for case in json.loads(GOLDEN.read_text()) + json.loads(CHECK_GOLDEN.read_text()):
         argv = case["argv"]
         if "job" in case:
             job = tmp_path / "job.json"
             job.write_text(json.dumps(case["job"]))
             argv = [str(job) if a == "JOB" else a for a in argv]
         assert main(argv) == 0, argv
-        assert capsys.readouterr().out == case["stdout"], argv
+        out = capsys.readouterr().out
+        if argv[0] == "check":
+            out, count = re.subn(r'^ *"wall_time_s": .*\n', "", out, flags=re.M)
+            assert count == 1
+        assert out == case["stdout"], argv
 
 
 def test_describe_writes_output_file(capsys, tmp_path):
@@ -344,15 +351,47 @@ def test_domain_errors_exit_three(capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "singular time" in err
+    # input bit budget: B16 Borel has n = 256; over the common denominator 2^k
+    # the class takes k + 1 bits and t = 0 one bit, so k = 510 gives exactly
+    # 256 * 512 = MAX_INPUT_BITS. E8 has n = 120 and 120 * 1092 = 131040.
+    assert flagflow.cli.MAX_INPUT_BITS == 256 * 512
+    b16 = ["--type", "B", "--rank", "16"]
+    e8 = ["invariants", "--type", "E", "--rank", "8", "--divisor"]
+    at_budget, past_budget = f"{2 ** 510 + 1}/{2 ** 510}", f"{2 ** 511 + 1}/{2 ** 511}"
+    too_long = "1" * (flagflow.cli.MAX_RATIONAL_CHARS + 1)
     for argv, reason in [
         (["describe", "--type", "A", "--rank", "1000000"], "positive roots, over the budget"),
         (["describe", "--type", "D", "--rank", "51"], "positive roots, over the budget"),
         (["flow", *P1, "--class", "1", "--samples", "10001"], "--samples 10001 is over"),
         (["flow", *A2_FULL, "--class", "1,2", "--t", "abc"], "not a rational number"),
+        (["flow", *b16, "--t", "0", "--class", ",".join([past_budget] * 16)],
+         "--class and --t: n = 256 times 513 bits is 131328 bits, over the budget of 131072"),
+        # 511 bits plus 7 for the default t-max-fraction 99/100
+        (["flow", *b16, "--divisor", ",".join([at_budget] * 16)],
+         "--divisor and --t-max-fraction: n = 256 times 518 bits"),
+        ([*e8, ",".join([str(2 ** 1092)] * 8)], "--divisor: n = 120 times 1093 bits"),
+        (["flow", *P1, "--class", too_long],
+         f"--class: a value of {len(too_long)} characters is over the budget"),
+        (["flow", *P1, "--class", "1", "--t", too_long],
+         f"--t: a value of {len(too_long)} characters is over the budget"),
+        (["flow", *P1, "--class", "1", "--t", "7" * 50 + "x"],
+         "not a rational number: '77777777777777777777... (51 characters)'"),
     ]:
-        assert main(argv) == 3, argv
+        assert main(argv) == 3, argv[:6]
         err = capsys.readouterr().err
-        assert reason in err and "Traceback" not in err, argv
+        assert reason in err and "Traceback" not in err, argv[:6]
+        assert len(err) < 200  # a refusal never echoes a long value
+    assert main(["flow", *b16, "--t", "0", "--class", ",".join([at_budget] * 16)]) == 0
+    assert main([*e8, ",".join([str(2 ** 1091)] * 8)]) == 0
+    capsys.readouterr()
+
+
+def test_rationals_past_4300_digits_are_read(capsys):
+    # over 4300 digits, int() refuses a decimal string unless its limit is lifted
+    sevens, power = "7" * 4400, "1" + "0" * 4400
+    doc = run_json(capsys, ["flow", *P1, "--samples", "1", "--class", f"{sevens}/{power}"])
+    assert doc["input"]["class"] == [f"{sevens}/{power}"]
+    assert doc["result"]["T"] == f"{sevens}/2{'0' * 4400}"  # b / l with l = 2
 
 
 def test_internal_assertion_exits_four(capsys, monkeypatch):

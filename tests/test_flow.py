@@ -1,6 +1,8 @@
 """Flow trajectories: closed forms, frozen values, bound chains, rejections."""
 
 import dataclasses
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,7 @@ from flagflow import (
     ricci_lower_constant,
     ricci_norm_sq,
     rho,
+    rho_pairing,
     scalar_curvature,
     volume,
     weyl_dim,
@@ -208,3 +211,78 @@ def test_integral_lie_data_are_ints():
     assert all(type(x) is int for x in values)
     # a rational weight still pairs to a Fraction
     assert type(pairing(rs, (Fraction(1, 2), 0, 0), 0)) is Fraction
+
+
+# (family, rank, Theta, bits of the independent class): Borel, odd-numbered
+# Theta and one-element complements. At 200 bits the per-root reference for
+# A20 and D16 Borel takes 4-6 s; 64 bits is already far inside the kernel's
+# reduce-every-level regime there (over 200k bits of P_g(t) numerators).
+LARGE_SHAPES = {
+    "E8-borel": ("E", 8, (), 200),
+    "A20-borel": ("A", 20, (), 64),
+    "D16-borel": ("D", 16, (), 64),
+    "E8-odd": ("E", 8, (1, 3, 5, 7), 200),
+    "A20-odd": ("A", 20, tuple(range(1, 21, 2)), 200),
+    "D16-odd": ("D", 16, tuple(range(1, 17, 2)), 200),
+    "E8-{8}": ("E", 8, tuple(range(1, 8)), 200),
+    "D16-{16}": ("D", 16, tuple(range(1, 16)), 200),
+}
+
+
+def shared_16_bit_class(size, bits, rng):
+    """Numerators below 2^16 over one denominator near 2^16, as a benchmark flow sends."""
+    den = rng.randint(2 ** 15, 2 ** 16)
+    return tuple(Fraction(rng.randint(1, 2 ** 16), den) for _ in range(size))
+
+
+def independent_class(size, bits, rng):
+    """Numerators and denominators of the given bit length, each drawn on its own."""
+    return tuple(
+        Fraction(rng.getrandbits(bits) | 1, rng.getrandbits(bits) | 1) for _ in range(size))
+
+
+@pytest.mark.parametrize("make_class", [shared_16_bit_class, independent_class],
+                         ids=["shared-16-bit", "independent"])
+@pytest.mark.parametrize("shape", LARGE_SHAPES)
+def test_grouped_kernel_matches_the_per_root_sums(shape, make_class):
+    """R, |Ric|^2 and vol of bounds_report, against sums and products over every root."""
+    family, rank, theta, bits = LARGE_SHAPES[shape]
+    flag = build_flag(build_root_system(family, rank), theta)
+    fs = make_flow(flag, make_class(len(flag.complement), bits, random.Random(1)))
+    t = fs.T / 3
+    ps = p_values(fs, t)
+    rho_prod = math.prod(rho_pairing(flag.rs, idx) for idx in flag.comp_pos_roots)
+    rep = bounds_report(fs, t)
+    assert rep.R == sum((a / p for a, p in zip(fs.a, ps)), Fraction(0))
+    assert rep.ricci_norm_sq == sum(((a / p) ** 2 for a, p in zip(fs.a, ps)), Fraction(0))
+    assert rep.vol_coeff == math.prod(ps) / rho_prod
+    assert fs.v0 == math.prod(fs.p_const) / rho_prod
+
+
+def test_troot_group_counts():
+    def groups(family, rank, complement):
+        rs = build_root_system(family, rank)
+        return build_flag(rs, set(range(1, rank + 1)) - set(complement)).troots
+
+    for family, rank, complement, n, count in [
+        ("E", 8, {8}, 57, 2), ("E", 8, {1, 8}, 90, 6), ("A", 20, {5, 15}, 140, 3),
+        ("D", 16, {16}, 120, 1),
+        ("E", 8, {2, 4, 6, 8}, 115, 33), ("A", 20, set(range(2, 21, 2)), 200, 55),
+        ("D", 16, set(range(2, 17, 2)), 232, 64),
+        ("E", 8, set(range(1, 9)), 120, 120), ("A", 20, set(range(1, 21)), 210, 210),
+        ("D", 16, set(range(1, 17)), 240, 240),
+    ]:
+        troots = groups(family, rank, complement)
+        assert len(troots) == count, (family, rank, complement)
+        assert sum(m for _, m in troots) == n
+        assert len({row for row, _ in troots}) == count
+
+
+def test_kernel_data_follow_the_groups():
+    flag = build_flag(build_root_system("E", 8), tuple(range(1, 8)))
+    fs = make_flow(flag, (Fraction(5, 6),))
+    # P_g(0) = N_g / den, a_g and m_g for the two T-roots of E8 / P_{8}
+    assert fs.den == 6
+    assert [(num, a, m) for num, a, m in fs.troots] == [
+        (5 * row[0], flag.fano[0] * row[0], m) for row, m in flag.troots]
+    assert sorted(m for _, _, m in fs.troots) == [1, 56]

@@ -6,6 +6,7 @@ are known to compare two independently derived quantities.
 """
 
 import dataclasses
+import random
 from fractions import Fraction
 
 from flagflow import (
@@ -22,6 +23,7 @@ from flagflow import (
     make_flow,
     run_suite,
 )
+from flagflow.oracle import _proper_subsets
 
 BOUND_NAMES = (
     "scalar_bounds", "ricci_bounds", "volume_sandwich",
@@ -96,6 +98,24 @@ def test_corrupted_slopes_are_caught():
     assert fd.counterexample["check"] == "ricci_identity_fd"
 
 
+def test_corrupted_kernel_data_are_caught():
+    """The grouped kernel must agree with the oracle's per-root sums."""
+    flag = build_flag(build_root_system("B", 3), (2,))
+    fs = make_flow(flag, (Fraction(1, 2), Fraction(3)))
+    assert check_scalar_volume_identity(fs).passed and check_ricci_identity(fs)[0].passed
+    num, a, m = fs.troots[0]
+    for bad in [(num, a, m + 1), (num, a + 1, m)]:
+        corrupt = dataclasses.replace(fs, troots=(bad,) + fs.troots[1:])
+        out = check_scalar_volume_identity(corrupt)
+        assert not out.passed
+        assert out.counterexample["residual"] == "0"  # the per-root identity still holds
+        assert out.counterexample["R"] != out.counterexample["kernel_R"]
+        exact, _ = check_ricci_identity(corrupt)
+        assert not exact.passed
+        ce = exact.counterexample
+        assert ce["kernel_ricci_norm_sq"] != ce["ricci_norm_sq"]
+
+
 def test_counterexamples_serialize_to_plain_strings():
     bad = corrupt_rates(a2_flow())
     ce = check_scalar_volume_identity(bad).counterexample
@@ -109,6 +129,40 @@ def test_brute_nef_frozen_values():
     assert brute_nef(p2, (Fraction(2),)) == Fraction(3, 2)
     assert brute_nef(p2, (Fraction(3),)) == 1
     assert brute_nef(p2, (Fraction(1, 2),)) == 6
+
+
+def linear_scan_nef(flag, coeffs, max_q=64):
+    """brute_nef's search by a linear scan of p for each q, as the reference."""
+    coeffs = tuple(Fraction(c) for c in coeffs)
+    sides = [(c.numerator, l * c.denominator) for c, l in zip(coeffs, flag.fano)]
+    p_cap = max_q * max(flag.fano)
+    best = None
+    for q in range(1, max_q + 1):
+        for p in range(0, p_cap + 1):
+            if all(p * c >= q * l for c, l in sides):
+                if best is None or Fraction(p, q) < best:
+                    best = Fraction(p, q)
+                break
+    certified = all(
+        c.numerator <= max_q and l * c.denominator <= p_cap
+        for c, l in zip(coeffs, flag.fano))
+    return best if certified else None
+
+
+def test_brute_nef_bisection_matches_a_linear_scan():
+    rng = random.Random(5)
+    cases = 0
+    for family, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                         ("C", 3), ("D", 4), ("G", 2)]:
+        rs = build_root_system(family, rank)
+        for theta in _proper_subsets(rank):
+            flag = build_flag(rs, theta)
+            for _ in range(2):
+                d = tuple(Fraction(rng.randint(1, 10), rng.randint(1, 10))
+                          for _ in flag.complement)
+                assert brute_nef(flag, d) == linear_scan_nef(flag, d), (family, rank, theta, d)
+                cases += 1
+    assert cases == 2 * 61
 
 
 def test_brute_nef_inconclusive_returns_none():
