@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .flow import (
 )
 from .invariants import invariants_of, lct_lower
 from .oracle import SuiteConfig, run_suite
-from .parabolic import ParabolicFlag, build_flag, canonical_divisor
+from .parabolic import ParabolicFlag, build_flag, canonical_divisor, require_length
 from .rootsys import build_root_system
 
 # in the order the "input" echo lists them
@@ -54,6 +55,8 @@ DEFAULT_T_MAX_FRACTION = "99/100"
 MAX_INPUT_BITS = 1 << 17
 # longer values carry more bits than the budget and are refused unparsed
 MAX_RATIONAL_CHARS = MAX_INPUT_BITS
+# the decimal exponent that ends a rational in Fraction's grammar, sign dropped
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 class UsageError(Exception):
@@ -204,26 +207,37 @@ def _common_bits(values: list[Fraction]) -> int:
                *(abs(x.numerator * (den // x.denominator)).bit_length() for x in values))
 
 
-def _require_input_budget(n: int, desc: dict, timed: bool) -> None:
-    """Refuse a class (or divisor), and for a flow its time, whose P_beta(t)
-    would be too large; a value too long to carry fewer bits is refused unparsed."""
+def _written_length(text: str) -> int:
+    """len(text) with its decimal exponent written out, as Fraction does. Only the
+    exponent's first digits are read, one more than MAX_RATIONAL_CHARS has."""
+    exp = _EXPONENT.search(text)
+    digits = exp[1].replace("_", "").lstrip("0") if exp else ""
+    return len(text) + int(digits[:len(str(MAX_RATIONAL_CHARS)) + 1] or 0)
+
+
+def _require_input_budget(flag: ParabolicFlag, desc: dict, timed: bool) -> None:
+    """Refuse a class (or divisor) of the wrong length, or whose P_beta(t) would be
+    too large; a value too long to carry fewer bits is refused unparsed."""
     fields = ["class" if "class" in desc else "divisor"]
+    require_length(flag, desc[fields[0]])
     if timed:
         fields.append("t" if "t" in desc else "t_max_fraction")
     size = 0
     for key in fields:
         values = desc.get(key, DEFAULT_T_MAX_FRACTION)
         values = values if isinstance(values, list) else [values]
-        for value in values:
-            if len(str(value)) > MAX_RATIONAL_CHARS:
+        for text in map(str, values):
+            length = _written_length(text)
+            if length > MAX_RATIONAL_CHARS:
+                written = " once its decimal exponent is written out" * (length > len(text))
                 raise BudgetExceeded(
-                    f"--{key.replace('_', '-')}: a value of {len(str(value))} characters "
-                    f"is over the budget of {MAX_RATIONAL_CHARS}")
+                    f"--{key.replace('_', '-')}: a value of {len(text)} characters "
+                    f"is over the budget of {MAX_RATIONAL_CHARS}{written}")
         size += _common_bits([parse_rational(x) for x in values])
-    if n * size > MAX_INPUT_BITS:
+    if flag.n * size > MAX_INPUT_BITS:
         names = " and ".join("--" + key.replace("_", "-") for key in fields)
         raise BudgetExceeded(
-            f"{names}: n = {n} times {size} bits is {n * size} bits, "
+            f"{names}: n = {flag.n} times {size} bits is {flag.n * size} bits, "
             f"over the budget of {MAX_INPUT_BITS}")
 
 
@@ -270,7 +284,7 @@ def read_descriptor(args) -> tuple[dict, ParabolicFlag]:
         raise UsageError("invariants requires --divisor")
     flag = build_flag(build_root_system(desc["lie_family"], desc["rank"]), desc["theta"])
     if args.command in ("flow", "invariants"):
-        _require_input_budget(flag.n, desc, timed=args.command == "flow")
+        _require_input_budget(flag, desc, timed=args.command == "flow")
     return desc, flag
 
 

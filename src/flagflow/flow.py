@@ -31,11 +31,8 @@ bounds_report. make_flow clears the common denominator den of the class,
 so P_g(0) = N_g / den with integers N_g, and at t = u/v every P_g(t) is
 M_g / L over the one integer L = lcm(den, v). When the entries of the
 class share one denominator, den is that denominator and the N_g are about
-as long as the numerators. Sums and products run as balanced folds. While
-the unreduced result stays within INTEGER_FOLD_BITS they fold as integers
-with one reduction at the end; past that, each a_g / P_g (or P_g) is
-reduced on its own and every level of the fold reduces, so independent
-large denominators never meet in one huge common denominator.
+as long as the numerators. Sums and products fold the integers in a
+balanced tree and reduce once, at the end.
 
 p_const, p_slope and a stay per root, computed from the pairing rows
 without the grouping: the oracle's per-root reference reads them.
@@ -56,11 +53,6 @@ from .rootsys import pairing
 KahlerClass = tuple[Fraction, ...]
 
 RM_BOUND_SYMBOLIC = "C(n)/(T-t)"
-# Up to this many bits in the unreduced fold (prod_g M_g^k for a sum of k-th
-# powers, prod_g M_g^m_g for the volume) the kernel folds integers and reduces
-# once; past it, it reduces at every level. Measured crossover: 15k-45k bits,
-# lower the less the P_g share denominators.
-INTEGER_FOLD_BITS = 30_000
 
 
 @dataclass(frozen=True)
@@ -129,11 +121,10 @@ def make_flow(flag: ParabolicFlag, b: KahlerClass) -> FlowSolution:
     # delta_P restricted to the complement is the Fano vector
     troots = tuple(
         (_dot(row, scaled), _dot(row, flag.fano), m) for row, m in flag.troots)
-    T = min(x / l for x, l in zip(b, flag.fano))
     ratios = {x / l for x, l in zip(b, flag.fano)}
     v0 = _volume(flag, troots, den, [num for num, _, _ in troots])
-    return FlowSolution(flag, b, T, p_const, tuple(-x for x in a), a, len(ratios) == 1, v0,
-                        den, troots)
+    return FlowSolution(flag, b, min(ratios), p_const, tuple(-x for x in a), a,
+                        len(ratios) == 1, v0, den, troots)
 
 
 def _dot(row: tuple[int, ...], coeffs) -> int:
@@ -185,21 +176,15 @@ def _numerators(fs: FlowSolution, t: Fraction) -> tuple[int, list[int]]:
 
 def _rate_sum(troots, L: int, ms: list[int], k: int) -> Fraction:
     """sum_g m_g * (a_g / P_g)^k for k = 1 (R) or k = 2 (|Ric|^2)."""
-    if k * sum(x.bit_length() for x in ms) <= INTEGER_FOLD_BITS:
-        num, den = _balanced(
-            [(m * a ** k, x ** k) for (_, a, m), x in zip(troots, ms)], _add_quotients)
-        return Fraction(num * L ** k, den)
-    return _balanced(
-        [m * Fraction(a * L, x) ** k for (_, a, m), x in zip(troots, ms)], operator.add)
+    num, den = _balanced(
+        [(m * a ** k, x ** k) for (_, a, m), x in zip(troots, ms)], _add_quotients)
+    return Fraction(num * L ** k, den)
 
 
 def _volume(flag: ParabolicFlag, troots, L: int, ms: list[int]) -> Fraction:
     """prod_g P_g^(m_g) / prod_beta <rho, h_beta^v>."""
-    if sum(m * x.bit_length() for (_, _, m), x in zip(troots, ms)) <= INTEGER_FOLD_BITS:
-        prod = _balanced([x ** m for (_, _, m), x in zip(troots, ms)], operator.mul)
-        return Fraction(prod, L ** flag.n * flag.rho_product)
-    prod = _balanced([Fraction(x, L) ** m for (_, _, m), x in zip(troots, ms)], operator.mul)
-    return prod / flag.rho_product
+    prod = _balanced([x ** m for (_, _, m), x in zip(troots, ms)], operator.mul)
+    return Fraction(prod, L ** flag.n * flag.rho_product)
 
 
 def scalar_curvature(fs: FlowSolution, t) -> Fraction:

@@ -342,7 +342,7 @@ def test_job_conflicts_exit_two(capsys, tmp_path):
         assert field in capsys.readouterr().err, bad
 
 
-def test_domain_errors_exit_three(capsys):
+def test_domain_errors_exit_three(capsys, tmp_path):
     assert main(["describe", "--type", "A", "--rank", "2", "--theta", "1,2"]) == 3
     assert main(["flow", *A2_FULL, "--class=-1,2"]) == 3
     assert main(["flow", *A2_FULL, "--class", "1,2", "--t", "1"]) == 3
@@ -359,7 +359,14 @@ def test_domain_errors_exit_three(capsys):
     e8 = ["invariants", "--type", "E", "--rank", "8", "--divisor"]
     at_budget, past_budget = f"{2 ** 510 + 1}/{2 ** 510}", f"{2 ** 511 + 1}/{2 ** 511}"
     too_long = "1" * (flagflow.cli.MAX_RATIONAL_CHARS + 1)
+    empty_job = tmp_path / "empty.json"
+    empty_job.write_text(json.dumps({"lie_family": "A", "rank": 2, "class": []}))
     for argv, reason in [
+        # an empty class or divisor is refused by its length, before it is priced
+        (["flow", *A2_FULL, "--class="], "0 coefficients given; expected 2"),
+        (["flow", *A2_FULL, "--class", ","], "0 coefficients given; expected 2"),
+        (["invariants", *A2_FULL, "--divisor", ","], "0 coefficients given; expected 2"),
+        (["flow", "--job", str(empty_job)], "0 coefficients given; expected 2"),
         (["describe", "--type", "A", "--rank", "1000000"], "positive roots, over the budget"),
         (["describe", "--type", "D", "--rank", "51"], "positive roots, over the budget"),
         (["flow", *P1, "--class", "1", "--samples", "10001"], "--samples 10001 is over"),
@@ -384,6 +391,40 @@ def test_domain_errors_exit_three(capsys):
     assert main(["flow", *b16, "--t", "0", "--class", ",".join([at_budget] * 16)]) == 0
     assert main([*e8, ",".join([str(2 ** 1091)] * 8)]) == 0
     capsys.readouterr()
+
+
+def test_decimal_exponents_are_priced_before_they_are_read(tmp_path):
+    # Fraction builds 10^exp for "1e<exp>": at 10^8 that would run for minutes
+    src = str(Path(flagflow.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"lie_family": "A", "rank": 2, "class": ["1e1_000_000_00", 1]}))
+    for argv, field, value in [
+        (["flow", *P1, "--class", "1e100000000"], "--class", "1e100000000"),
+        (["flow", *P1, "--class", "1", "--t", "1e-100000000"], "--t", "1e-100000000"),
+        (["flow", "--job", str(job)], "--class", "1e1_000_000_00"),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "flagflow.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=5)
+        assert proc.returncode == 3, argv
+        assert proc.stderr == (
+            f"error: {field}: a value of {len(value)} characters is over the budget "
+            "of 131072 once its decimal exponent is written out\n")
+
+
+def test_decimal_exponents_within_the_budget_are_read(capsys):
+    doc = run_json(capsys, ["flow", *P1, "--class", "25e-1", "--t", "1_0E-1"])
+    assert doc["result"]["samples"][0]["t"] == "1"
+    assert doc["result"]["samples"][0]["class"] == ["1/2"]  # 5/2 - 1 * 2
+    # an exponent counts as its digits: "1e131064" is 8 + 131064 = MAX_RATIONAL_CHARS,
+    # so it is read and meets the bit budget; one more digit is refused unread
+    assert flagflow.cli.MAX_RATIONAL_CHARS == 131072
+    assert main(["invariants", *P2, "--divisor", "1e131064"]) == 3
+    bits = (10 ** 131064).bit_length()
+    assert f"--divisor: n = 2 times {bits} bits" in capsys.readouterr().err
+    assert main(["invariants", *P2, "--divisor", "1e131065"]) == 3
+    assert "a value of 8 characters is over the budget of 131072 once" in capsys.readouterr().err
 
 
 def test_rationals_past_4300_digits_are_read(capsys):

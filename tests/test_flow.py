@@ -215,8 +215,8 @@ def test_integral_lie_data_are_ints():
 
 # (family, rank, Theta, bits of the independent class): Borel, odd-numbered
 # Theta and one-element complements. At 200 bits the per-root reference for
-# A20 and D16 Borel takes 4-6 s; 64 bits is already far inside the kernel's
-# reduce-every-level regime there (over 200k bits of P_g(t) numerators).
+# A20 and D16 Borel takes 4-6 s; 64 bits already gives over 200k bits of P_g(t)
+# numerators there, each folded as one unreduced integer.
 LARGE_SHAPES = {
     "E8-borel": ("E", 8, (), 200),
     "A20-borel": ("A", 20, (), 64),
