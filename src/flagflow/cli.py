@@ -23,7 +23,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, brief
 from .flow import (
     bounds_report,
     class_at,
@@ -70,9 +70,7 @@ def parse_rational(text) -> Fraction:
     try:
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
-        if len(str(text)) > 40:
-            text = f"{str(text)[:20]}... ({len(str(text))} characters)"
-        raise DomainError(f"not a rational number: {text!r}") from exc
+        raise DomainError(f"not a rational number: {brief(text)!r}") from exc
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -217,7 +215,8 @@ def _written_length(text: str) -> int:
 
 def _require_input_budget(flag: ParabolicFlag, desc: dict, timed: bool) -> None:
     """Refuse a class (or divisor) of the wrong length, or whose P_beta(t) would be
-    too large; a value too long to carry fewer bits is refused unparsed."""
+    too large, for one time or summed over the samples of a trajectory; a value
+    too long to carry fewer bits is refused unparsed."""
     fields = ["class" if "class" in desc else "divisor"]
     require_length(flag, desc[fields[0]])
     if timed:
@@ -234,11 +233,18 @@ def _require_input_budget(flag: ParabolicFlag, desc: dict, timed: bool) -> None:
                     f"--{key.replace('_', '-')}: a value of {len(text)} characters "
                     f"is over the budget of {MAX_RATIONAL_CHARS}{written}")
         size += _common_bits([parse_rational(x) for x in values])
+    names = " and ".join("--" + key.replace("_", "-") for key in fields)
     if flag.n * size > MAX_INPUT_BITS:
-        names = " and ".join("--" + key.replace("_", "-") for key in fields)
         raise BudgetExceeded(
             f"{names}: n = {flag.n} times {size} bits is {flag.n * size} bits, "
             f"over the budget of {MAX_INPUT_BITS}")
+    # a trajectory gets DEFAULT_SAMPLES samples at the per-time budget
+    samples = 1 if "t" in desc or not timed else desc.get("samples", DEFAULT_SAMPLES)
+    if samples * flag.n * size > DEFAULT_SAMPLES * MAX_INPUT_BITS:
+        raise BudgetExceeded(
+            f"--samples and {names}: {samples} samples times n = {flag.n} times {size} "
+            f"bits is {samples * flag.n * size} bits, over the budget of "
+            f"{DEFAULT_SAMPLES * MAX_INPUT_BITS}")
 
 
 def read_descriptor(args) -> tuple[dict, ParabolicFlag]:
@@ -276,7 +282,7 @@ def read_descriptor(args) -> tuple[dict, ParabolicFlag]:
             raise UsageError("--samples must be at least 1")
         if desc.get("samples", 1) > MAX_SAMPLES:
             raise BudgetExceeded(
-                f"--samples {desc['samples']} is over the budget of {MAX_SAMPLES}")
+                f"--samples {brief(desc['samples'])} is over the budget of {MAX_SAMPLES}")
         if args.format == "csv" and not args.output:
             raise UsageError("--format csv requires --output "
                              "(the exact-value sidecar is written next to it)")
@@ -357,7 +363,7 @@ def _flow_times(fs, desc: dict) -> list[Fraction]:
     count = desc.get("samples", DEFAULT_SAMPLES)
     fraction = parse_rational(desc.get("t_max_fraction", DEFAULT_T_MAX_FRACTION))
     if not 0 < fraction < 1:
-        raise DomainError(f"t-max-fraction must lie in (0,1), got {fraction}")
+        raise DomainError(f"t-max-fraction must lie in (0,1), got {brief(fraction)}")
     return [fs.T * fraction * j / max(count - 1, 1) for j in range(count)]
 
 

@@ -3,6 +3,7 @@
 DomainError marks input rejected on mathematical grounds; the CLI maps it
 to exit code 3. BudgetExceeded guards input sizes and exhaustive enumerations.
 Internal consistency failures raise plain AssertionError (CLI exit 4).
+Messages show a value through brief(), which never echoes a long one.
 """
 
 
@@ -12,3 +13,16 @@ class DomainError(ValueError):
 
 class BudgetExceeded(DomainError):
     """An exhaustive enumeration hit its configured budget."""
+
+
+def brief(value) -> str:
+    """A value as a message shows it: in full when short, else by its size.
+
+    Text over 40 characters keeps its first 20. A number is sized by its bit
+    length before str(), which raises past 4300 digits; 128 bits is under 40
+    digits.
+    """
+    if isinstance(value, str):
+        return value if len(value) <= 40 else f"{value[:20]}... ({len(value)} characters)"
+    bits = sum(x.bit_length() for x in value.as_integer_ratio())
+    return str(value) if bits <= 128 else f"<{bits}-bit number>"

@@ -45,7 +45,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, brief
 from .parabolic import DivisorClass, ParabolicFlag, require_length
 from .rootsys import pairing
 
@@ -135,9 +135,9 @@ def _dot(row: tuple[int, ...], coeffs) -> int:
 def _check_time(fs: FlowSolution, t, allow_T: bool = False) -> Fraction:
     t = Fraction(t)
     if t < 0:
-        raise DomainError(f"negative time t = {t}")
+        raise DomainError(f"negative time t = {brief(t)}")
     if t > fs.T or (t == fs.T and not allow_T):
-        raise DomainError(f"past singular time: t = {t}, T = {fs.T}")
+        raise DomainError(f"past singular time: t = {brief(t)}, T = {brief(fs.T)}")
     return t
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .dimcount import weyl_dim
-from .errors import DomainError
+from .errors import DomainError, brief
 from .rootsys import RootSystem, Weight, fund_coords, rho_pairing
 
 # coefficients of sum d_alpha * D_alpha, aligned with ParabolicFlag.complement
@@ -76,7 +76,7 @@ def build_flag(rs: RootSystem, theta) -> ParabolicFlag:
     for i in th:
         if not 1 <= i <= rs.rank:
             raise DomainError(
-                f"simple-root index {i} out of range 1..{rs.rank}")
+                f"simple-root index {brief(i)} out of range 1..{rs.rank}")
     if len(th) == rs.rank:
         raise DomainError("flag variety is a point (Theta is the full simple set)")
     complement = tuple(i for i in range(1, rs.rank + 1) if i not in th)

@@ -9,10 +9,6 @@ coroot's coefficients over the simple coroots are <w_j, h_beta^v> for the
 fundamental weights w_j: beta's row of the pairing table. Fundamental-weight
 coordinates of beta itself are the row vector k times the Cartan matrix.
 
-The symmetrizers d_i (coprime, with a_ij * d_j symmetric) are half the
-squared root lengths. With d_beta = (sum_ij k_i k_j a_ij d_j) / 2 they give
-<w_j, h_beta^v> = k_j * d_j / d_beta, an identity the tests check.
-
 Weights are coordinate tuples over the fundamental weights. Integral
 weights (rho, delta_P, the roots themselves) carry ints, and pairings of
 them stay ints; a rational weight carries Fractions.
@@ -23,9 +19,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, brief
 
 Root = tuple[int, ...]
 Weight = tuple[int | Fraction, ...]
@@ -55,12 +50,12 @@ def validate_type(family: str, rank: int) -> None:
     if rank < lo or (hi is not None and rank > hi):
         bound = f"rank >= {lo}" if hi is None else (
             f"rank in {{{lo}}}" if lo == hi else f"rank in {{{lo},...,{hi}}}")
-        raise DomainError(f"family {family} requires {bound} (got {rank})")
+        raise DomainError(f"family {family} requires {bound} (got {brief(rank)})")
     count = {"A": rank * (rank + 1) // 2, "B": rank * rank, "C": rank * rank,
              "D": rank * (rank - 1)}.get(family, 0)
     if count > MAX_POSITIVE_ROOTS:
         raise BudgetExceeded(
-            f"{family}{rank} has {count} positive roots, over the budget of "
+            f"{family}{brief(rank)} has {brief(count)} positive roots, over the budget of "
             f"{MAX_POSITIVE_ROOTS}")
 
 
@@ -97,31 +92,6 @@ def cartan_matrix(family: str, rank: int) -> Matrix:
     return tuple(tuple(row) for row in a)
 
 
-def symmetrizers(cartan: Matrix) -> tuple[int, ...]:
-    """Coprime positive integers d with a_ij * d_j = a_ji * d_i."""
-    l = len(cartan)
-    vals = [1] + [0] * (l - 1)
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        for j in range(l):
-            if j != i and cartan[i][j] != 0 and vals[j] == 0:
-                # d_j = d_i * a_ji / a_ij: rescale the values so far to make it integral
-                num = vals[i] * cartan[j][i]
-                scale = abs(cartan[i][j]) // gcd(num, cartan[i][j])
-                vals = [v * scale for v in vals]
-                vals[j] = num * scale // cartan[i][j]
-                queue.append(j)
-    assert all(v > 0 for v in vals), "Dynkin graph not connected"
-    g = gcd(*vals)
-    d = tuple(v // g for v in vals)
-    assert all(
-        cartan[i][j] * d[j] == cartan[j][i] * d[i]
-        for i in range(l) for j in range(l)
-    ), "symmetrizer does not symmetrize the Cartan matrix"
-    return d
-
-
 def _coroots(cartan: Matrix) -> dict[Root, Root]:
     """Each positive root of a finite-type Cartan matrix mapped to its coroot.
 
@@ -129,32 +99,31 @@ def _coroots(cartan: Matrix) -> dict[Root, Root]:
     c = <k, h_{alpha_j}^v> < 0 gives the positive root s_j(k) = k - c * alpha_j
     and its coroot s_j(k^v): s_j permutes the positive roots other than
     alpha_j, on roots and coroots alike (Humphreys, Lie algebras, 10.2
-    Lemma B). Ordered by height, ties broken lexicographically.
+    Lemma B). Each found root carries its pairings c, and s_j(k) gets its
+    own by subtracting c times row j of the Cartan matrix. Ordered by height,
+    ties broken lexicographically.
     """
     l = len(cartan)
-    coroot = {k: k for k in (tuple(int(i == j) for j in range(l)) for i in range(l))}
-    todo = list(coroot)
+    simple = (tuple(int(i == j) for j in range(l)) for i in range(l))
+    # k -> (k^v, <k, h_{alpha_j}^v> for every j), starting from the Cartan rows
+    found = {k: (k, row) for k, row in zip(simple, cartan)}
+    todo = list(found)
     while todo:
         k = todo.pop()
-        kv = coroot[k]
-        for j in range(l):
-            c = sum(k[i] * cartan[i][j] for i in range(l))
+        kv, kw = found[k]
+        for j, c in enumerate(kw):
             if c >= 0:
                 continue
             up = k[:j] + (k[j] - c,) + k[j + 1:]
             if up[j] > MAX_ROOT_COEFF:
                 raise AssertionError(
                     f"root coefficient above {MAX_ROOT_COEFF}; matrix not finite type")
-            if up not in coroot:
+            if up not in found:
                 cv = sum(kv[i] * cartan[j][i] for i in range(l))
-                coroot[up] = kv[:j] + (kv[j] - cv,) + kv[j + 1:]
+                found[up] = (kv[:j] + (kv[j] - cv,) + kv[j + 1:],
+                             tuple(w - c * a for w, a in zip(kw, cartan[j])))
                 todo.append(up)
-    return {k: coroot[k] for k in sorted(coroot, key=lambda k: (sum(k), k))}
-
-
-def positive_roots_from_cartan(cartan: Matrix) -> tuple[Root, ...]:
-    """All positive roots of a finite-type Cartan matrix, by height then lex."""
-    return tuple(_coroots(cartan))
+    return {k: found[k][0] for k in sorted(found, key=lambda k: (sum(k), k))}
 
 
 @dataclass(frozen=True)
@@ -164,7 +133,6 @@ class RootSystem:
     family: str
     rank: int
     cartan: Matrix
-    d: tuple[int, ...]
     positive_roots: tuple[Root, ...]
     # pairing_rows[b][j] = <w_j, h_beta^v> for beta = positive_roots[b]: the
     # coefficients of the coroot h_beta^v over the simple coroots
@@ -176,7 +144,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct (and memoize) the root system of the given simple type."""
     cartan = cartan_matrix(family, rank)
     roots, rows = zip(*_coroots(cartan).items())
-    rs = RootSystem(family, rank, cartan, symmetrizers(cartan), roots, rows)
+    rs = RootSystem(family, rank, cartan, roots, rows)
     total = tuple(sum(k[i] for k in roots) for i in range(rank))
     assert fund_coords(rs, total) == (2,) * rank, \
         "sum of positive roots is not 2*rho in the fundamental-weight basis"

@@ -359,6 +359,12 @@ def test_domain_errors_exit_three(capsys, tmp_path):
     e8 = ["invariants", "--type", "E", "--rank", "8", "--divisor"]
     at_budget, past_budget = f"{2 ** 510 + 1}/{2 ** 510}", f"{2 ** 511 + 1}/{2 ** 511}"
     too_long = "1" * (flagflow.cli.MAX_RATIONAL_CHARS + 1)
+    # str() of an int past 4300 digits raises, so refusals size such values
+    nines = "9" * 5000
+    # samples x n x bits: B8 Borel has n = 64, and 121-bit entries plus 7 bits
+    # for 99/100 give 128 bits, so 160 samples are exactly 10 * MAX_INPUT_BITS
+    assert flagflow.cli.DEFAULT_SAMPLES * flagflow.cli.MAX_INPUT_BITS == 160 * 64 * 128
+    b8_flow = ["flow", "--type", "B", "--rank", "8", "--class", ",".join([str(2 ** 120)] * 8)]
     empty_job = tmp_path / "empty.json"
     empty_job.write_text(json.dumps({"lie_family": "A", "rank": 2, "class": []}))
     for argv, reason in [
@@ -383,6 +389,23 @@ def test_domain_errors_exit_three(capsys, tmp_path):
          f"--t: a value of {len(too_long)} characters is over the budget"),
         (["flow", *P1, "--class", "1", "--t", "7" * 50 + "x"],
          "not a rational number: '77777777777777777777... (51 characters)'"),
+        (["describe", "--type", "A", "--rank", nines[:3000]],
+         "A<9967-bit number> has <19932-bit number> positive roots, over the budget"),
+        (["describe", "--type", "D", "--rank", nines[:3000]],
+         "D<9967-bit number> has <19933-bit number> positive roots, over the budget"),
+        (["flow", *P1, "--class", "1", "--t", "-" + nines], "negative time t = <16611-bit number>"),
+        (["flow", *P1, "--class", "1", "--t", nines],
+         "past singular time: t = <16611-bit number>, T = 1/2"),
+        (["flow", *P1, "--class", "1", "--samples", "3", "--t-max-fraction", nines],
+         "t-max-fraction must lie in (0,1), got <16611-bit number>"),
+        (["describe", "--type", "E", "--rank", nines[:3000]], "(got <9967-bit number>)"),
+        (["describe", *P1, "--theta", nines[:3000]],
+         "simple-root index <9967-bit number> out of range 1..1"),
+        (["flow", *P1, "--class", "1", "--samples", nines[:3000]],
+         "--samples <9967-bit number> is over the budget of 10000"),
+        ([*b8_flow, "--samples", "161"],
+         "--samples and --class and --t-max-fraction: 161 samples times n = 64 times 128 "
+         "bits is 1318912 bits, over the budget of 1310720"),
     ]:
         assert main(argv) == 3, argv[:6]
         err = capsys.readouterr().err
@@ -390,6 +413,7 @@ def test_domain_errors_exit_three(capsys, tmp_path):
         assert len(err) < 200  # a refusal never echoes a long value
     assert main(["flow", *b16, "--t", "0", "--class", ",".join([at_budget] * 16)]) == 0
     assert main([*e8, ",".join([str(2 ** 1091)] * 8)]) == 0
+    assert main([*b8_flow, "--samples", "160"]) == 0
     capsys.readouterr()
 
 

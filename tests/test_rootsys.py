@@ -1,6 +1,7 @@
 """Root-system construction: counts, pairing table, ordering, rejection paths."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -12,11 +13,11 @@ from flagflow import (
     build_root_system,
     fund_coords,
     pairing,
-    positive_roots_from_cartan,
     rho,
     rho_pairing,
     validate_type,
 )
+from flagflow.rootsys import _coroots
 
 CLASSICAL_COUNTS = [
     ("A", 1, 1), ("A", 2, 3), ("A", 3, 6), ("A", 4, 10), ("A", 5, 15), ("A", 6, 21),
@@ -28,6 +29,32 @@ CLASSICAL_COUNTS = [
 ]
 
 TYPES_RANK_LE_6 = [(f, r) for f, r, _ in CLASSICAL_COUNTS if r <= 6]
+
+
+def symmetrizers(cartan):
+    """Coprime positive integers d with a_ij * d_j = a_ji * d_i: half the
+    squared root lengths, the reference for the pairing rows."""
+    l = len(cartan)
+    vals = [1] + [0] * (l - 1)
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in range(l):
+            if j != i and cartan[i][j] != 0 and vals[j] == 0:
+                # d_j = d_i * a_ji / a_ij: rescale the values so far to make it integral
+                num = vals[i] * cartan[j][i]
+                scale = abs(cartan[i][j]) // gcd(num, cartan[i][j])
+                vals = [v * scale for v in vals]
+                vals[j] = num * scale // cartan[i][j]
+                queue.append(j)
+    assert all(v > 0 for v in vals), "Dynkin graph not connected"
+    g = gcd(*vals)
+    d = tuple(v // g for v in vals)
+    assert all(
+        cartan[i][j] * d[j] == cartan[j][i] * d[i]
+        for i in range(l) for j in range(l)
+    ), "symmetrizer does not symmetrize the Cartan matrix"
+    return d
 
 
 @pytest.mark.parametrize("family,rank,count", CLASSICAL_COUNTS)
@@ -49,12 +76,12 @@ def test_cartan_matrix_shape(family, rank):
 def test_frozen_cartan_data_for_multiply_laced_types():
     b2 = build_root_system("B", 2)
     assert b2.cartan == ((2, -2), (-1, 2))
-    assert b2.d == (2, 1)
+    assert symmetrizers(b2.cartan) == (2, 1)
     g2 = build_root_system("G", 2)
     assert g2.cartan == ((2, -1), (-3, 2))
-    assert g2.d == (1, 3)
-    assert build_root_system("C", 3).d == (1, 1, 2)
-    assert build_root_system("F", 4).d == (2, 2, 1, 1)
+    assert symmetrizers(g2.cartan) == (1, 3)
+    assert symmetrizers(build_root_system("C", 3).cartan) == (1, 1, 2)
+    assert symmetrizers(build_root_system("F", 4).cartan) == (2, 2, 1, 1)
 
 
 @pytest.mark.parametrize("family,rank", TYPES_RANK_LE_6)
@@ -121,7 +148,7 @@ def test_pairing_rows_match_the_squared_length_formula(family, rank):
     # <w_j, h_beta^v> = k_j d_j / d_beta with d_beta = sum_ij k_i k_j a_ij d_j / 2:
     # an independent reference for the coroots built by reflections
     rs = build_root_system(family, rank)
-    a, d = rs.cartan, rs.d
+    a, d = rs.cartan, symmetrizers(rs.cartan)
     for k, row in zip(rs.positive_roots, rs.pairing_rows):
         two_d_beta = sum(k[i] * k[j] * a[i][j] * d[j]
                          for i in range(rank) for j in range(rank))
@@ -135,7 +162,7 @@ def test_pairing_rows_match_the_squared_length_formula(family, rank):
 ])
 def test_non_finite_cartan_matrix_is_rejected(cartan):
     with pytest.raises(AssertionError, match="not finite type"):
-        positive_roots_from_cartan(cartan)
+        _coroots(cartan)
 
 
 @pytest.mark.parametrize("name", [
@@ -161,8 +188,8 @@ def test_positive_root_budget_admits_rank_and_refuses_the_next(family, rank):
 
 
 def test_construction_is_deterministic():
-    first = positive_roots_from_cartan(build_root_system("F", 4).cartan)
-    second = positive_roots_from_cartan(build_root_system("F", 4).cartan)
+    first = tuple(_coroots(build_root_system("F", 4).cartan))
+    second = tuple(_coroots(build_root_system("F", 4).cartan))
     assert first == second == build_root_system("F", 4).positive_roots
 
 
@@ -220,4 +247,4 @@ def test_pairing_is_bilinear_in_the_weight(lam, mu, a, b):
 
 
 def test_empty_cartan_matrix_has_no_roots():
-    assert positive_roots_from_cartan(()) == ()
+    assert tuple(_coroots(())) == ()
