@@ -144,7 +144,7 @@ def _integer(name: str, value) -> int:
             return int(value)
     except ValueError:
         pass
-    raise UsageError(f"{name} must be an integer, got {value!r}")
+    raise UsageError(f"{name} must be an integer, got {brief(repr(value))}")
 
 
 def _items(name: str, value) -> list:
@@ -152,20 +152,22 @@ def _items(name: str, value) -> list:
         return [part.strip() for part in value.split(",") if part.strip()]
     if isinstance(value, list):
         return value
-    raise UsageError(f"{name} must be a list or a comma-separated string, got {value!r}")
+    raise UsageError(
+        f"{name} must be a list or a comma-separated string, got {brief(repr(value))}")
 
 
 def _indices(name: str, value) -> list[int]:
     out = [_integer(name, v) for v in _items(name, value)]
     if len(set(out)) < len(out):
-        raise UsageError(f"{name} lists an index twice: {value!r}")
+        raise UsageError(f"{name} lists an index twice: {brief(repr(value))}")
     return out
 
 
 def _rational(name: str, value) -> str | int:
     if isinstance(value, str) or type(value) is int:
         return value
-    raise UsageError(f"{name} must be a rational (a string or an integer), got {value!r}")
+    raise UsageError(
+        f"{name} must be a rational (a string or an integer), got {brief(repr(value))}")
 
 
 def _rationals(name: str, value) -> list:

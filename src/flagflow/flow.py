@@ -141,11 +141,6 @@ def _check_time(fs: FlowSolution, t, allow_T: bool = False) -> Fraction:
     return t
 
 
-def p_values(fs: FlowSolution, t: Fraction) -> tuple[Fraction, ...]:
-    """All P_beta(t), one per complementary root: the oracle's reference."""
-    return tuple(c + s * t for c, s in zip(fs.p_const, fs.p_slope))
-
-
 def class_at(fs: FlowSolution, t) -> KahlerClass:
     """Class coefficients b_alpha - t * l_alpha, each still positive."""
     t = _check_time(fs, t)
@@ -214,10 +209,11 @@ def bounds_report(fs: FlowSolution, t) -> BoundsReport:
     r = _rate_sum(fs.troots, L, ms, 1)
     r_sq = r ** 2  # a power of a reduced fraction needs no gcd, unlike r * r
     shrink = 1 - t / fs.T
+    r_upper = n / gap
     return BoundsReport(
         R=r,
         R_lower=1 / gap,
-        R_upper=Fraction(n) / gap,
+        R_upper=r_upper,
         ricci_norm_sq=_rate_sum(fs.troots, L, ms, 2),
         ricci_norm_sq_lower=r_sq / n,
         ricci_norm_sq_upper=r_sq,
@@ -226,7 +222,7 @@ def bounds_report(fs: FlowSolution, t) -> BoundsReport:
         vol_coeff_upper=shrink * fs.v0,
         lambda1_lower=2 / ricci_lower_constant(fs),
         lambda1_upper=2 * r * m / (m - 1),
-        r_upper_attained=(r == n / gap),  # reduced fractions compare without a gcd
+        r_upper_attained=(r == r_upper),  # reduced fractions compare without a gcd
     )
 
 

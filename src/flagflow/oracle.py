@@ -5,11 +5,17 @@ points than the degree bound, never by symbolic algebra. Floating
 finite-difference checks are advisory and reported under their own
 names; the exact checks are the contract. Failures are reported with a
 fully serialized counterexample, never raised.
+
+The two flow identities are checked root by root from the stored p_const,
+p_slope and a, never from the kernel's T-root groups, and in integers: at
+each time every P_beta is put over one denominator, so each comparison is one
+integer equality. Fractions are built only for a counterexample.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -21,7 +27,6 @@ from .flow import (
     FlowSolution,
     bounds_report,
     make_flow,
-    p_values,
     ricci_norm_sq,
     scalar_curvature,
     volume,
@@ -103,35 +108,55 @@ def _counterexample(flag: ParabolicFlag, **fields) -> dict:
     }
 
 
+def _cleared(fs: FlowSolution, t: Fraction) -> tuple[int, list[int]]:
+    """(L, [M_beta]) with P_beta(t) = M_beta / L, read from p_const and p_slope
+    alone: L = lcm(den(t), denominators of p_const), every M_beta an integer."""
+    L = math.lcm(t.denominator, *(c.denominator for c in fs.p_const))
+    shift = t.numerator * (L // t.denominator)
+    return L, [c.numerator * (L // c.denominator) + s * shift
+               for c, s in zip(fs.p_const, fs.p_slope)]
+
+
+def _common_sums(terms: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """(sum x_i E_i, sum y_i E_i, D) for terms (x_i, y_i, d_i): D = prod d_i and
+    E_i = D / d_i. The quotients x_i / d_i and y_i / d_i are added pairwise,
+    unreduced, level by level, so operands stay of like size."""
+    while len(terms) > 1:
+        folded = [(x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2)
+                  for (x1, y1, d1), (x2, y2, d2) in zip(terms[::2], terms[1::2])]
+        if len(terms) % 2:
+            folded.append(terms[-1])
+        terms = folded
+    return terms[0]
+
+
 def check_scalar_volume_identity(fs: FlowSolution) -> CheckOutcome:
     """R(t) * Q(t) + Q'(t) = 0 for Q = prod P_beta, at n + 2 rational points.
 
     Both sides are polynomials of degree <= n, so n + 2 exact zeros force
-    the identity. Q' is evaluated from the stored slopes, by prefix and
-    suffix products of the P_beta; R root by root from the stored
-    coefficients a_beta. The two only cancel when slope = -a. The flow
-    kernel's grouped R must equal that per-root R at every point.
+    the identity. Over one denominator, P_beta = M_beta / L (_cleared), so
+    with E_beta = prod_{gamma != beta} M_gamma and Q_M = prod M_beta
+
+        R = L sum a_beta E_beta / Q_M,   Q' = sum s_beta E_beta / L^(n-1),
+
+    and the residual R Q + Q' = sum (a_beta + s_beta) E_beta / L^(n-1) is zero
+    iff that integer sum is. R reads the stored coefficients a_beta and Q'
+    the stored slopes s_beta; the two only cancel when slope = -a. The flow
+    kernel's grouped R must equal the per-root R at every point, compared by
+    cross-multiplying integers. Fractions are built only for a counterexample.
     """
     n = fs.flag.n
     for k in range(n + 2):
         t = fs.T * k / (n + 2)
-        ps = p_values(fs, t)
-        prefix = [Fraction(1)]
-        for p in ps:
-            prefix.append(prefix[-1] * p)
-        suffix = [Fraction(1)]
-        for p in reversed(ps):
-            suffix.append(suffix[-1] * p)
-        suffix.reverse()
-        qprime = sum(
-            (s * prefix[i] * suffix[i + 1] for i, s in enumerate(fs.p_slope)), Fraction(0))
-        r = sum((a / p for a, p in zip(fs.a, ps)), Fraction(0))
-        residual = r * prefix[-1] + qprime
+        L, ms = _cleared(fs, t)
+        residual, r, q = _common_sums(
+            [(a + s, a, m) for a, s, m in zip(fs.a, fs.p_slope, ms)])
         kernel_r = scalar_curvature(fs, t)
-        if residual != 0 or kernel_r != r:
+        if residual or kernel_r.numerator * q != kernel_r.denominator * L * r:
             return CheckOutcome(False, _counterexample(
-                fs.flag, b=fs.b0, check="scalar_volume_identity", t=t, residual=residual,
-                R=r, kernel_R=kernel_r))
+                fs.flag, b=fs.b0, check="scalar_volume_identity", t=t,
+                residual=Fraction(residual, L ** (n - 1)), R=Fraction(L * r, q),
+                kernel_R=kernel_r))
     return CheckOutcome(True)
 
 
@@ -146,24 +171,30 @@ def check_ricci_identity(
 ) -> tuple[CheckOutcome, CheckOutcome]:
     """dR/dt = |Ric|^2, exactly and by central finite differences.
 
-    The derivative side uses the stored slopes, the norm side the stored
-    coefficients, so corrupting either one breaks the equality; both are
-    summed root by root, and the flow kernel's grouped |Ric|^2 must equal
-    them. Returns (exact outcome, finite-difference outcome).
+    Over one denominator, as in check_scalar_volume_identity,
+
+        dR/dt = L^2 sum -a_beta s_beta E_beta^2 / Q_M^2,
+        |Ric|^2 = L^2 sum a_beta^2 E_beta^2 / Q_M^2:
+
+    the derivative side uses the stored slopes, the norm side the stored
+    coefficients, so corrupting either one breaks the equality of the two
+    integer sums. The flow kernel's grouped |Ric|^2 must equal them, compared
+    by cross-multiplying integers. Fractions are built only for a
+    counterexample. Returns (exact outcome, finite-difference outcome).
     """
     n = fs.flag.n
     exact = CheckOutcome(True)
     for k in range(n + 2):
         t = fs.T * k / (n + 2)
-        lhs = rhs = Fraction(0)
-        for a, p, s in zip(fs.a, p_values(fs, t), fs.p_slope):
-            lhs += -a * s / (p * p)
-            rhs += (a / p) ** 2
+        L, ms = _cleared(fs, t)
+        lhs, rhs, q_sq = _common_sums(
+            [(-a * s, a * a, m * m) for a, s, m in zip(fs.a, fs.p_slope, ms)])
         kernel = ricci_norm_sq(fs, t)
-        if not lhs == rhs == kernel:
+        if lhs != rhs or kernel.numerator * q_sq != kernel.denominator * L * L * rhs:
+            scale = Fraction(L * L, q_sq)
             exact = CheckOutcome(False, _counterexample(
                 fs.flag, b=fs.b0, check="ricci_identity_exact", t=t,
-                dR_dt=lhs, ricci_norm_sq=rhs, kernel_ricci_norm_sq=kernel))
+                dR_dt=lhs * scale, ricci_norm_sq=rhs * scale, kernel_ricci_norm_sq=kernel))
             break
 
     fd = CheckOutcome(True)

@@ -311,6 +311,15 @@ def test_usage_errors_exit_two(capsys):
         assert main(["flow", *A2_FULL, "--class", "1,2", "--t", "1/4",
                      "--t-max-fraction", fraction]) == 2
     capsys.readouterr()
+    # a long offending value is shown by its size, not echoed
+    nines = "9" * 5000
+    for argv in (["describe", "--type", "A", "--rank", nines],
+                 ["describe", "--type", "A", "--rank", "3", "--theta", nines],
+                 ["describe", "--type", "A", "--rank", "3", "--theta", "1,x" + nines],
+                 ["flow", *A2_FULL, "--class", "1,2", "--samples", nines]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err) < 300, err[:300]
 
 
 def test_job_conflicts_exit_two(capsys, tmp_path):

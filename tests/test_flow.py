@@ -22,7 +22,6 @@ from flagflow import (
     fund_coords,
     lambda1_bounds,
     make_flow,
-    p_values,
     pairing,
     ricci_lower_constant,
     ricci_norm_sq,
@@ -32,6 +31,11 @@ from flagflow import (
     volume,
     weyl_dim,
 )
+
+
+def p_values(fs, t):
+    """All P_beta(t), one per complementary root: the per-root reference."""
+    return tuple(c + s * t for c, s in zip(fs.p_const, fs.p_slope))
 
 
 def a2_full_flow():

@@ -9,7 +9,10 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import pytest
+
 from flagflow import (
+    CheckOutcome,
     SuiteConfig,
     brute_nef,
     build_flag,
@@ -21,9 +24,11 @@ from flagflow import (
     check_trajectory_bounds,
     check_weyl_gt_grid,
     make_flow,
+    ricci_norm_sq,
     run_suite,
+    scalar_curvature,
 )
-from flagflow.oracle import _proper_subsets
+from flagflow.oracle import _counterexample, _proper_subsets
 
 BOUND_NAMES = (
     "scalar_bounds", "ricci_bounds", "volume_sandwich",
@@ -114,6 +119,105 @@ def test_corrupted_kernel_data_are_caught():
         assert not exact.passed
         ce = exact.counterexample
         assert ce["kernel_ricci_norm_sq"] != ce["ricci_norm_sq"]
+
+
+def fraction_scalar_volume_identity(fs):
+    """check_scalar_volume_identity with a Fraction per root: the reference."""
+    n = fs.flag.n
+    for k in range(n + 2):
+        t = fs.T * k / (n + 2)
+        ps = [c + s * t for c, s in zip(fs.p_const, fs.p_slope)]
+        prefix = [Fraction(1)]
+        for p in ps:
+            prefix.append(prefix[-1] * p)
+        suffix = [Fraction(1)]
+        for p in reversed(ps):
+            suffix.append(suffix[-1] * p)
+        suffix.reverse()
+        qprime = sum(
+            (s * prefix[i] * suffix[i + 1] for i, s in enumerate(fs.p_slope)), Fraction(0))
+        r = sum((a / p for a, p in zip(fs.a, ps)), Fraction(0))
+        residual = r * prefix[-1] + qprime
+        kernel_r = scalar_curvature(fs, t)
+        if residual != 0 or kernel_r != r:
+            return CheckOutcome(False, _counterexample(
+                fs.flag, b=fs.b0, check="scalar_volume_identity", t=t, residual=residual,
+                R=r, kernel_R=kernel_r))
+    return CheckOutcome(True)
+
+
+def fraction_ricci_identity(fs):
+    """The exact half of check_ricci_identity with a Fraction per root: the reference."""
+    n = fs.flag.n
+    for k in range(n + 2):
+        t = fs.T * k / (n + 2)
+        lhs = rhs = Fraction(0)
+        for a, c, s in zip(fs.a, fs.p_const, fs.p_slope):
+            p = c + s * t
+            lhs += -a * s / (p * p)
+            rhs += (a / p) ** 2
+        kernel = ricci_norm_sq(fs, t)
+        if not lhs == rhs == kernel:
+            return CheckOutcome(False, _counterexample(
+                fs.flag, b=fs.b0, check="ricci_identity_exact", t=t,
+                dR_dt=lhs, ricci_norm_sq=rhs, kernel_ricci_norm_sq=kernel))
+    return CheckOutcome(True)
+
+
+def corrupt_constants(fs):
+    return dataclasses.replace(fs, p_const=(fs.p_const[0] + Fraction(1, 3),) + fs.p_const[1:])
+
+
+def corrupt_groups(fs, da, dm):
+    num, a, m = fs.troots[0]
+    return dataclasses.replace(fs, troots=((num, a + da, m + dm),) + fs.troots[1:])
+
+
+CORRUPTIONS = {
+    "honest": lambda fs: fs,
+    "rates": corrupt_rates,
+    "slopes": corrupt_slopes,
+    "constants": corrupt_constants,
+    "group rate": lambda fs: corrupt_groups(fs, 1, 0),
+    "group multiplicity": lambda fs: corrupt_groups(fs, 0, 1),
+}
+
+
+def test_integer_identity_checks_match_the_fraction_reference():
+    """Every proper Theta of the suite's types plus E6 and F4 flags, honest and corrupted:
+    the same verdicts and the same counterexamples as a Fraction per root."""
+    rng = random.Random(3)
+    flags = [build_flag(build_root_system(family, rank), theta)
+             for family, rank in SuiteConfig().types for theta in _proper_subsets(rank)]
+    flags += [build_flag(build_root_system(family, rank), theta) for family, rank, theta in [
+        ("E", 6, ()), ("E", 6, (1, 3, 5)), ("F", 4, ()), ("F", 4, (2, 3))]]
+    for flag in flags:
+        b = tuple(Fraction(rng.randint(1, 10), rng.randint(1, 10)) for _ in flag.complement)
+        honest = make_flow(flag, b)
+        for name, corrupt in CORRUPTIONS.items():
+            fs = corrupt(honest)
+            case = (flag.rs.family, flag.rs.rank, flag.theta, name)
+            scalar = fraction_scalar_volume_identity(fs)
+            ricci = fraction_ricci_identity(fs)
+            # equal reprs: equal values, and counterexample fields in the same order
+            assert repr(check_scalar_volume_identity(fs)) == repr(scalar), case
+            assert repr(check_ricci_identity(fs)[0]) == repr(ricci), case
+            assert scalar.passed == ricci.passed == (name == "honest"), case
+
+
+@pytest.mark.parametrize("theta", [(), (1, 3, 5, 7)], ids=["borel", "odd"])
+def test_identity_checks_past_rank_6(theta):
+    """E8 Borel (n = 120) and odd Theta (n = 115) with a shared 16-bit class."""
+    rng = random.Random(0)
+    flag = build_flag(build_root_system("E", 8), theta)
+    den = rng.randint(2 ** 15, 2 ** 16)
+    fs = make_flow(flag, tuple(Fraction(rng.randint(1, 2 ** 16), den) for _ in flag.complement))
+    assert check_scalar_volume_identity(fs).passed
+    assert check_ricci_identity(fs)[0].passed
+    for corrupt in (corrupt_rates, corrupt_slopes, lambda fs: corrupt_groups(fs, 0, 1)):
+        bad = corrupt(fs)
+        assert not check_scalar_volume_identity(bad).passed
+        assert not check_ricci_identity(bad)[0].passed
 
 
 def test_counterexamples_serialize_to_plain_strings():
