@@ -86,6 +86,14 @@ class _Parser(argparse.ArgumentParser):
             file.flush()
 
 
+def _int_flag(text: str) -> int:
+    """argparse's type=int, with its message, showing a long value by its size."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {brief(repr(text))}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="flagflow",
@@ -128,12 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="nef value, degree, section counts, bounds")
     add_descriptor(p)
     p.add_argument("--divisor", help="comma-separated rationals: ample divisor class")
-    p.add_argument("--lct-m", dest="lct_m", type=int,
+    p.add_argument("--lct-m", dest="lct_m", type=_int_flag,
                    help="report the log canonical threshold bound for m*D")
     add_output(p)
 
     p = sub.add_parser("check", help="run the verification suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_flag, default=0)
     add_output(p)
     return parser
 
@@ -186,10 +194,18 @@ READERS = {
 }
 
 
+def _json_int(text: str) -> int | str:
+    """A JSON integer; past Python's digit limit it stays text, read as its string form."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _read_job(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_json_int)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read job file: {exc}") from exc
     if not isinstance(data, dict):

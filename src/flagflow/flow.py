@@ -31,8 +31,8 @@ bounds_report. make_flow clears the common denominator den of the class,
 so P_g(0) = N_g / den with integers N_g, and at t = u/v every P_g(t) is
 M_g / L over the one integer L = lcm(den, v). When the entries of the
 class share one denominator, den is that denominator and the N_g are about
-as long as the numerators. Sums and products fold the integers in a
-balanced tree and reduce once, at the end.
+as long as the numerators. Sums and products fold the integers left to
+right, unreduced, over a running denominator and reduce once, at the end.
 
 p_const, p_slope and a stay per root, computed from the pairing rows
 without the grouping: the oracle's per-root reference reads them.
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, brief
-from .parabolic import DivisorClass, ParabolicFlag, require_length
+from .parabolic import ParabolicFlag, require_length
 from .rootsys import pairing
 
 # Kahler class coefficients b_alpha > 0, aligned with flag.complement
@@ -147,21 +147,6 @@ def class_at(fs: FlowSolution, t) -> KahlerClass:
     return tuple(x - t * l for x, l in zip(fs.b0, fs.flag.fano))
 
 
-def _balanced(items: list, combine):
-    """Fold a non-empty list pairwise, level by level, so operands stay of like size."""
-    while len(items) > 1:
-        folded = [combine(x, y) for x, y in zip(items[::2], items[1::2])]
-        if len(items) % 2:
-            folded.append(items[-1])
-        items = folded
-    return items[0]
-
-
-def _add_quotients(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """(p, q) + (r, s) = (ps + rq, qs), unreduced."""
-    return x[0] * y[1] + y[0] * x[1], x[1] * y[1]
-
-
 def _numerators(fs: FlowSolution, t: Fraction) -> tuple[int, list[int]]:
     """(L, [M_g]) with P_g(t) = M_g / L over the T-root groups, L = lcm(den, den(t))."""
     L = math.lcm(fs.den, t.denominator)
@@ -171,14 +156,15 @@ def _numerators(fs: FlowSolution, t: Fraction) -> tuple[int, list[int]]:
 
 def _rate_sum(troots, L: int, ms: list[int], k: int) -> Fraction:
     """sum_g m_g * (a_g / P_g)^k for k = 1 (R) or k = 2 (|Ric|^2)."""
-    num, den = _balanced(
-        [(m * a ** k, x ** k) for (_, a, m), x in zip(troots, ms)], _add_quotients)
+    num, den = 0, 1
+    for (_, a, m), x in zip(troots, ms):
+        num, den = num * x ** k + m * a ** k * den, den * x ** k
     return Fraction(num * L ** k, den)
 
 
 def _volume(flag: ParabolicFlag, troots, L: int, ms: list[int]) -> Fraction:
     """prod_g P_g^(m_g) / prod_beta <rho, h_beta^v>."""
-    prod = _balanced([x ** m for (_, _, m), x in zip(troots, ms)], operator.mul)
+    prod = math.prod(x ** m for (_, _, m), x in zip(troots, ms))
     return Fraction(prod, L ** flag.n * flag.rho_product)
 
 
@@ -254,6 +240,5 @@ def lambda1_bounds(fs: FlowSolution, t) -> tuple[Fraction, Fraction]:
     return rep.lambda1_lower, rep.lambda1_upper
 
 
-def flow_of_divisor(flag: ParabolicFlag, coeffs: DivisorClass) -> FlowSolution:
-    """The flow started at the class of an ample divisor (b = d)."""
-    return make_flow(flag, coeffs)
+# the flow started at the class of an ample divisor (b = d)
+flow_of_divisor = make_flow

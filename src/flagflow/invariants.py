@@ -21,7 +21,7 @@ from math import factorial
 
 from .dimcount import weyl_dim
 from .errors import DomainError
-from .flow import FlowSolution, flow_of_divisor, scalar_curvature
+from .flow import FlowSolution, make_flow, scalar_curvature
 from .parabolic import (
     DivisorClass,
     ParabolicFlag,
@@ -81,7 +81,7 @@ def _degree(fs: FlowSolution) -> Fraction:
 def degree(flag: ParabolicFlag, coeffs: DivisorClass) -> Fraction:
     """n! times the volume coefficient of the flow started at D."""
     require_ample(flag, coeffs)
-    return _degree(flow_of_divisor(flag, coeffs))
+    return _degree(make_flow(flag, coeffs))
 
 
 def lct_lower(flag: ParabolicFlag, coeffs: DivisorClass, m: int) -> LctReport:
@@ -106,7 +106,7 @@ def lct_lower(flag: ParabolicFlag, coeffs: DivisorClass, m: int) -> LctReport:
 def invariants_of(flag: ParabolicFlag, coeffs: DivisorClass) -> InvariantReport:
     require_ample(flag, coeffs)
     coeffs = tuple(Fraction(c) for c in coeffs)
-    fs = flow_of_divisor(flag, coeffs)
+    fs = make_flow(flag, coeffs)
     tau = nef_value(flag, coeffs)
     t_script = 1 / tau
     c_script = script_C(flag, coeffs)

@@ -119,15 +119,12 @@ def _cleared(fs: FlowSolution, t: Fraction) -> tuple[int, list[int]]:
 
 def _common_sums(terms: list[tuple[int, int, int]]) -> tuple[int, int, int]:
     """(sum x_i E_i, sum y_i E_i, D) for terms (x_i, y_i, d_i): D = prod d_i and
-    E_i = D / d_i. The quotients x_i / d_i and y_i / d_i are added pairwise,
-    unreduced, level by level, so operands stay of like size."""
-    while len(terms) > 1:
-        folded = [(x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2)
-                  for (x1, y1, d1), (x2, y2, d2) in zip(terms[::2], terms[1::2])]
-        if len(terms) % 2:
-            folded.append(terms[-1])
-        terms = folded
-    return terms[0]
+    E_i = D / d_i. The quotients x_i / d_i and y_i / d_i are added left to
+    right, unreduced, over a running denominator."""
+    sx, sy, sd = 0, 0, 1
+    for x, y, d in terms:
+        sx, sy, sd = sx * d + x * sd, sy * d + y * sd, sd * d
+    return sx, sy, sd
 
 
 def check_scalar_volume_identity(fs: FlowSolution) -> CheckOutcome:
@@ -166,9 +163,8 @@ def _scalar_float(fs: FlowSolution, t: float) -> float:
         for a, c, s in zip(fs.a, fs.p_const, fs.p_slope))
 
 
-def check_ricci_identity(
-    fs: FlowSolution, fd_step: float = FD_STEP, fd_tol: float = FD_TOL,
-) -> tuple[CheckOutcome, CheckOutcome]:
+def check_ricci_identity(fs: FlowSolution,
+                         fd_step: float = FD_STEP) -> tuple[CheckOutcome, CheckOutcome]:
     """dR/dt = |Ric|^2, exactly and by central finite differences.
 
     Over one denominator, as in check_scalar_volume_identity,
@@ -205,7 +201,7 @@ def check_ricci_identity(
         diff = (_scalar_float(fs, tf + h) - _scalar_float(fs, tf - h)) / (2 * h)
         truth = float(ricci_norm_sq(fs, t))
         rel = abs(diff - truth) / abs(truth)
-        if rel > fd_tol:
+        if rel > FD_TOL:
             fd = CheckOutcome(False, _counterexample(
                 fs.flag, b=fs.b0, check="ricci_identity_fd", t=t,
                 finite_difference=repr(diff), ricci_norm_sq=repr(truth),

@@ -316,10 +316,22 @@ def test_usage_errors_exit_two(capsys):
     for argv in (["describe", "--type", "A", "--rank", nines],
                  ["describe", "--type", "A", "--rank", "3", "--theta", nines],
                  ["describe", "--type", "A", "--rank", "3", "--theta", "1,x" + nines],
-                 ["flow", *A2_FULL, "--class", "1,2", "--samples", nines]):
+                 ["flow", *A2_FULL, "--class", "1,2", "--samples", nines],
+                 ["check", "--seed", nines]):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err) < 300, err[:300]
+    # invariants' usage text alone is about 225 characters, so bound the message
+    assert main(["invariants", *P2, "--divisor", "1", "--lct-m", nines]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()[-1]) < 120, err[:300]
+    # a short value keeps argparse's own message
+    assert main(["check", "--seed", "abc"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --seed: invalid int value: 'abc'\n")
+    assert main(["invariants", *P2, "--divisor", "1", "--lct-m", "x"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --lct-m: invalid int value: 'x'\n")
 
 
 def test_job_conflicts_exit_two(capsys, tmp_path):
@@ -466,6 +478,33 @@ def test_rationals_past_4300_digits_are_read(capsys):
     doc = run_json(capsys, ["flow", *P1, "--samples", "1", "--class", f"{sevens}/{power}"])
     assert doc["input"]["class"] == [f"{sevens}/{power}"]
     assert doc["result"]["T"] == f"{sevens}/2{'0' * 4400}"  # b / l with l = 2
+
+
+def test_job_integers_past_4300_digits_are_read(capsys, tmp_path):
+    # json.load's int() refuses them; they are read as their string form is
+    nines = "9" * 5000
+    job = tmp_path / "job.json"
+
+    def write(fields, value):  # the job with its one 0 written as value
+        job.write_text(json.dumps({"lie_family": "A", **fields}).replace("0", value))
+
+    outputs = []
+    for value in (nines, f'"{nines}"'):
+        write({"rank": 2, "divisor": [0, 1]}, value)
+        assert main(["invariants", "--job", str(job)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and nines in outputs[0]
+    # integer fields refuse them as their flag forms do
+    for fields in ({"rank": 0}, {"rank": 3, "theta": [0]},
+                   {"rank": 1, "class": [1], "samples": 0}):
+        write(fields, nines)
+        assert main(["flow", "--job", str(job)]) == 2, fields
+        err = capsys.readouterr().err
+        assert "must be an integer" in err and len(err) < 300, err[:300]
+    # an over-long one meets the size budget, unread
+    write({"rank": 1, "class": [0], "t": "1"}, "9" * 140000)
+    assert main(["flow", "--job", str(job)]) == 3
+    assert "a value of 140000 characters is over the budget" in capsys.readouterr().err
 
 
 def test_internal_assertion_exits_four(capsys, monkeypatch):
