@@ -12,8 +12,6 @@ closed stdout, 3 domain rejection, 4 internal assertion failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -36,11 +34,6 @@ from .oracle import SuiteConfig, run_suite
 from .parabolic import ParabolicFlag, build_flag, canonical_divisor, require_length
 from .rootsys import build_root_system
 
-# in the order the "input" echo lists them
-DESCRIPTOR_KEYS = (
-    "lie_family", "rank", "theta", "class", "divisor",
-    "t", "samples", "t_max_fraction",
-)
 # BoundsReport attributes under each flow sample's "bounds", in output order
 BOUND_KEYS = (
     "R_lower", "R_upper", "ricci_norm_sq_lower", "ricci_norm_sq_upper",
@@ -182,7 +175,7 @@ def _rationals(name: str, value) -> list:
     return [_rational(name, v) for v in _items(name, value)]
 
 
-# typed fields; rationals stay as given and are parsed where used
+# typed fields in the "input" echo's order; rationals are parsed once, when priced
 READERS = {
     "rank": _integer,
     "theta": _indices,
@@ -192,6 +185,7 @@ READERS = {
     "samples": _integer,
     "t_max_fraction": _rational,
 }
+DESCRIPTOR_KEYS = ("lie_family", *READERS)
 
 
 def _json_int(text: str) -> int | str:
@@ -231,15 +225,17 @@ def _written_length(text: str) -> int:
     return len(text) + int(digits[:len(str(MAX_RATIONAL_CHARS)) + 1] or 0)
 
 
-def _require_input_budget(flag: ParabolicFlag, desc: dict, timed: bool) -> None:
-    """Refuse a class (or divisor) of the wrong length, or whose P_beta(t) would be
-    too large, for one time or summed over the samples of a trajectory; a value
-    too long to carry fewer bits is refused unparsed."""
-    fields = ["class" if "class" in desc else "divisor"]
+def _require_input_budget(flag: ParabolicFlag, desc: dict,
+                          timed: bool) -> tuple[tuple[Fraction, ...], Fraction | None]:
+    """Parse the class (or divisor) and, if timed, the time or t-max-fraction; refuse a
+    class of the wrong length, or whose P_beta(t) would be too large, for one time or
+    summed over the samples; a value too long to carry fewer bits is refused unparsed."""
+    fields = ["divisor" if "divisor" in desc else "class"]
     require_length(flag, desc[fields[0]])
     if timed:
         fields.append("t" if "t" in desc else "t_max_fraction")
     size = 0
+    parsed = []
     for key in fields:
         values = desc.get(key, DEFAULT_T_MAX_FRACTION)
         values = values if isinstance(values, list) else [values]
@@ -250,7 +246,8 @@ def _require_input_budget(flag: ParabolicFlag, desc: dict, timed: bool) -> None:
                 raise BudgetExceeded(
                     f"--{key.replace('_', '-')}: a value of {len(text)} characters "
                     f"is over the budget of {MAX_RATIONAL_CHARS}{written}")
-        size += _common_bits([parse_rational(x) for x in values])
+        parsed.append([parse_rational(x) for x in values])
+        size += _common_bits(parsed[-1])
     names = " and ".join("--" + key.replace("_", "-") for key in fields)
     if flag.n * size > MAX_INPUT_BITS:
         raise BudgetExceeded(
@@ -263,17 +260,18 @@ def _require_input_budget(flag: ParabolicFlag, desc: dict, timed: bool) -> None:
             f"--samples and {names}: {samples} samples times n = {flag.n} times {size} "
             f"bits is {samples * flag.n * size} bits, over the budget of "
             f"{DEFAULT_SAMPLES * MAX_INPUT_BITS}")
+    return tuple(parsed[0]), parsed[1][0] if timed else None
 
 
-def read_descriptor(args) -> tuple[dict, ParabolicFlag]:
-    """The one validation point: flags or a --job object to a checked
-    descriptor and its flag variety.
+def read_descriptor(args) -> tuple[dict, ParabolicFlag, tuple | None, Fraction | None]:
+    """The one validation point: flags or a --job object to (checked descriptor, flag
+    variety, exact class or divisor, exact time or t-max-fraction), None where unused.
 
     Both sources are read alike: list fields take a list or a comma-separated
     string, integer fields an integer or its decimal string, rational fields
     (and list elements) a string or an integer. Rationals are kept as given,
-    so the "input" echo shows them verbatim. A class, divisor or time over
-    the input budget is refused before any flow arithmetic.
+    so the "input" echo shows them verbatim, and each is parsed once. A class,
+    divisor or time over the input budget is refused before any flow arithmetic.
     """
     given = {key: getattr(args, key, None) for key in DESCRIPTOR_KEYS}
     given = {key: value for key, value in given.items() if value is not None}
@@ -307,9 +305,12 @@ def read_descriptor(args) -> tuple[dict, ParabolicFlag]:
     if args.command == "invariants" and "divisor" not in desc:
         raise UsageError("invariants requires --divisor")
     flag = build_flag(build_root_system(desc["lie_family"], desc["rank"]), desc["theta"])
-    if args.command in ("flow", "invariants"):
-        _require_input_budget(flag, desc, timed=args.command == "flow")
-    return desc, flag
+    if args.command not in ("flow", "invariants"):
+        return desc, flag, None, None
+    b, time = _require_input_budget(flag, desc, timed=args.command == "flow")
+    if args.command == "flow" and "t" not in desc and not 0 < time < 1:
+        raise DomainError(f"t-max-fraction must lie in (0,1), got {brief(time)}")
+    return desc, flag, b, time
 
 
 def _exact(value) -> str:
@@ -348,13 +349,12 @@ def _decimal(name: str, x: Fraction) -> str:
 
 
 def _csv_text(samples: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_HEADER)
+    """Rows as csv.writer writes them: plain .12g cells need no quoting."""
+    rows = [CSV_HEADER]
     for s in samples:
         cells = {**s, **s["bounds"]}
-        writer.writerow([_decimal(name, cells[name]) for name in CSV_HEADER])
-    return buf.getvalue()
+        rows.append([_decimal(name, cells[name]) for name in CSV_HEADER])
+    return "".join(",".join(row) + "\r\n" for row in rows)
 
 
 def cmd_describe(flag) -> dict:
@@ -375,16 +375,6 @@ def cmd_describe(flag) -> dict:
     }
 
 
-def _flow_times(fs, desc: dict) -> list[Fraction]:
-    if "t" in desc:
-        return [parse_rational(desc["t"])]
-    count = desc.get("samples", DEFAULT_SAMPLES)
-    fraction = parse_rational(desc.get("t_max_fraction", DEFAULT_T_MAX_FRACTION))
-    if not 0 < fraction < 1:
-        raise DomainError(f"t-max-fraction must lie in (0,1), got {brief(fraction)}")
-    return [fs.T * fraction * j / max(count - 1, 1) for j in range(count)]
-
-
 def _flow_sample(fs, t: Fraction) -> dict:
     rep = bounds_report(fs, t)
     return {
@@ -399,9 +389,11 @@ def _flow_sample(fs, t: Fraction) -> dict:
     }
 
 
-def cmd_flow(flag, desc: dict) -> dict:
-    b = tuple(parse_rational(s) for s in desc.get("class", desc.get("divisor")))
+def cmd_flow(flag, b: tuple[Fraction, ...], time: Fraction, count: int | None) -> dict:
+    """The flow from b at `time`, or, given a count, at count times from 0 to time * T."""
     fs = make_flow(flag, b)
+    times = [time] if count is None else [
+        fs.T * time * j / max(count - 1, 1) for j in range(count)]
     c_const = ricci_lower_constant(fs)
     try:
         diam_value, diam_radicand = diameter_bound(fs)
@@ -417,15 +409,14 @@ def cmd_flow(flag, desc: dict) -> dict:
         "ricci_lower_constant": c_const,
         "ricci_lower_bound": 1 / c_const,
         "diameter_upper": {"radicand": diam_radicand, "value": diam_value},
-        "samples": [_flow_sample(fs, t) for t in _flow_times(fs, desc)],
+        "samples": [_flow_sample(fs, t) for t in times],
     }
     if fs.einstein:
         result["R_times_T_minus_t"] = str(flag.n)
     return result
 
 
-def cmd_invariants(flag, desc: dict, lct_m: int | None) -> dict:
-    d = tuple(parse_rational(s) for s in desc["divisor"])
+def cmd_invariants(flag, d: tuple[Fraction, ...], lct_m: int | None) -> dict:
     rep = invariants_of(flag, d)
     result = {
         "tau": rep.tau,
@@ -451,13 +442,14 @@ def _dispatch(args) -> int:
         _emit(doc, args.output)
         return 0 if report.exact_ok else 1
 
-    desc, flag = read_descriptor(args)
+    desc, flag, b, time = read_descriptor(args)
     if args.command == "describe":
         result = cmd_describe(flag)
     elif args.command == "flow":
-        result = cmd_flow(flag, desc)
+        count = None if "t" in desc else desc.get("samples", DEFAULT_SAMPLES)
+        result = cmd_flow(flag, b, time, count)
     else:
-        result = cmd_invariants(flag, desc, args.lct_m)
+        result = cmd_invariants(flag, b, args.lct_m)
     doc = {"input": desc, "result": result, "version": __version__}
     if args.format == "csv":
         _write(args.output, _csv_text(result["samples"]))

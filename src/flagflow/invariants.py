@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from .dimcount import weyl_dim
-from .errors import DomainError
+from .errors import DomainError, brief
 from .flow import FlowSolution, make_flow, scalar_curvature
 from .parabolic import (
     DivisorClass,
@@ -94,10 +94,10 @@ def lct_lower(flag: ParabolicFlag, coeffs: DivisorClass, m: int) -> LctReport:
             "log canonical threshold bound is stated for the Borel case only "
             "(Theta must be empty)")
     if m < 1:
-        raise DomainError(f"multiple m must be a positive integer (got {m})")
+        raise DomainError(f"multiple m must be a positive integer (got {brief(m)})")
     scaled = tuple(Fraction(c) * m for c in coeffs)
     if not is_integral(scaled):
-        raise DomainError(f"m*D is not integral for m = {m}")
+        raise DomainError(f"m*D is not integral for m = {brief(m)}")
     require_ample(flag, scaled)
     c_md = script_C(flag, scaled)
     return LctReport(bound=Fraction(m) / c_md, klt=c_md < m, lc=c_md <= m)

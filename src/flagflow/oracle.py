@@ -14,6 +14,7 @@ integer equality. Fractions are built only for a counterexample.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import random
@@ -163,8 +164,7 @@ def _scalar_float(fs: FlowSolution, t: float) -> float:
         for a, c, s in zip(fs.a, fs.p_const, fs.p_slope))
 
 
-def check_ricci_identity(fs: FlowSolution,
-                         fd_step: float = FD_STEP) -> tuple[CheckOutcome, CheckOutcome]:
+def check_ricci_identity(fs: FlowSolution) -> tuple[CheckOutcome, CheckOutcome]:
     """dR/dt = |Ric|^2, exactly and by central finite differences.
 
     Over one denominator, as in check_scalar_volume_identity,
@@ -194,7 +194,7 @@ def check_ricci_identity(fs: FlowSolution,
             break
 
     fd = CheckOutcome(True)
-    h = min(fd_step, float(fs.T) * 1e-3)
+    h = min(FD_STEP, float(fs.T) * 1e-3)
     for j in range(1, 6):
         t = fs.T * j / 10
         tf = float(t)
@@ -210,7 +210,7 @@ def check_ricci_identity(fs: FlowSolution,
     return exact, fd
 
 
-def check_trajectory_bounds(fs: FlowSolution, samples: int) -> dict[str, CheckOutcome]:
+def check_trajectory_bounds(fs: FlowSolution) -> dict[str, CheckOutcome]:
     """The verdicts of bounds_report, plus monotone R, Einstein closure and collapse at T."""
     outcomes: dict[str, CheckOutcome] = {}
 
@@ -219,7 +219,7 @@ def check_trajectory_bounds(fs: FlowSolution, samples: int) -> dict[str, CheckOu
             fs.flag, b=fs.b0, check=name, t=t, **extra)))
 
     prev_r = None
-    for t in (fs.T * j / samples for j in range(samples)):
+    for t in (fs.T * j / SAMPLES_PER_INSTANCE for j in range(SAMPLES_PER_INSTANCE)):
         rep = bounds_report(fs, t)
         r = rep.R
         for name, holds in rep.verdicts().items():
@@ -243,53 +243,44 @@ def check_trajectory_bounds(fs: FlowSolution, samples: int) -> dict[str, CheckOu
     return outcomes
 
 
-def brute_nef(flag: ParabolicFlag, coeffs, max_q: int = MAX_Q) -> Fraction | None:
+def brute_nef(flag: ParabolicFlag, coeffs) -> Fraction | None:
     """Nef value by grid search over p/q: minimize p/q with p*D + q*K >= 0.
 
-    For each q the least p in [0, p_cap] is found by bisection, since the
-    condition is monotone in p. Returns None ("inconclusive") when the grid
-    cannot certify the exact value; never a wrong answer. The certificate
-    is that every reduced numerator of d_alpha is <= max_q and the needed p
-    fits the p range.
+    For each q <= MAX_Q = 64 the least p in [0, p_cap = MAX_Q max l_alpha] is
+    found by bisection, since the condition is monotone in p. Returns None
+    ("inconclusive") when the grid cannot certify the exact value; never a
+    wrong answer. The certificate is that every reduced numerator of d_alpha
+    is <= MAX_Q and the needed p fits the p range.
     """
     require_ample(flag, coeffs)
     coeffs = tuple(Fraction(c) for c in coeffs)
-    p_cap = max_q * max(flag.fano)
+    p_cap = MAX_Q * max(flag.fano)
     # p * d_alpha >= q * l_alpha, cleared of the denominator of d_alpha
     sides = [(c.numerator, l * c.denominator) for c, l in zip(coeffs, flag.fano)]
     best: Fraction | None = None
-    for q in range(1, max_q + 1):
+    for q in range(1, MAX_Q + 1):
 
         def fits(p: int) -> bool:
             return all(p * c >= q * l for c, l in sides)
 
         if not fits(p_cap):
             continue
-        # fits is monotone in p: bisect for the least p in [0, p_cap] that fits
-        lo, hi = 0, p_cap
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if fits(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        candidate = Fraction(lo, q)
+        # fits is monotone in p: the least p in [0, p_cap] that fits
+        candidate = Fraction(bisect.bisect_left(range(p_cap + 1), True, key=fits), q)
         if best is None or candidate < best:
             best = candidate
     certified = all(
-        c.numerator <= max_q and l * c.denominator <= p_cap
+        c.numerator <= MAX_Q and l * c.denominator <= p_cap
         for c, l in zip(coeffs, flag.fano))
     return best if certified else None
 
 
-def check_nef_consistency(
-    flag: ParabolicFlag, coeffs, max_q: int,
-) -> dict[str, CheckOutcome]:
+def check_nef_consistency(flag: ParabolicFlag, coeffs) -> dict[str, CheckOutcome]:
     """brute_nef agrees with the closed form; flow time equals 1/tau."""
     coeffs = tuple(Fraction(c) for c in coeffs)
     out: dict[str, CheckOutcome] = {}
     tau = nef_value(flag, coeffs)
-    found = brute_nef(flag, coeffs, max_q)
+    found = brute_nef(flag, coeffs)
     if found != tau:
         out["nef_brute_match"] = CheckOutcome(False, _counterexample(
             flag, d=coeffs, check="nef_brute_match", closed_form=tau, brute_force=found))
@@ -317,11 +308,11 @@ def check_scale_laws(flag: ParabolicFlag, coeffs, k: int) -> CheckOutcome:
     return CheckOutcome(False, _counterexample(flag, d=coeffs, check="scale_laws", k=k))
 
 
-def check_weyl_gt_grid(max_coord: int = 3) -> CheckOutcome:
-    """weyl_dim = gt_count on all A1-A3 dominant weights with coords <= max_coord."""
+def check_weyl_gt_grid() -> CheckOutcome:
+    """weyl_dim = gt_count on all A1-A3 dominant weights with coordinates <= 3."""
     for rank in (1, 2, 3):
         rs = build_root_system("A", rank)
-        for coords in product(range(max_coord + 1), repeat=rank):
+        for coords in product(range(4), repeat=rank):
             w = weyl_dim(rs, coords)
             g = gt_count(rs, coords)
             if w != g:
@@ -374,11 +365,11 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
                 exact, fd = check_ricci_identity(fs)
                 record("ricci_identity_exact", exact)
                 record("ricci_identity_fd", fd)
-                for name, outcome in check_trajectory_bounds(fs, SAMPLES_PER_INSTANCE).items():
+                for name, outcome in check_trajectory_bounds(fs).items():
                     record(name, outcome)
             divisor = tuple(
                 Fraction(rng.randint(1, MAX_COEFF)) for _ in flag.complement)
-            for name, outcome in check_nef_consistency(flag, divisor, MAX_Q).items():
+            for name, outcome in check_nef_consistency(flag, divisor).items():
                 record(name, outcome)
             record("scale_laws", check_scale_laws(flag, divisor, rng.randint(2, 4)))
 

@@ -45,7 +45,7 @@ MAX_ROOT_COEFF = 6
 def validate_type(family: str, rank: int) -> None:
     """Reject (family, rank) pairs outside the classification or the size budget."""
     if family not in RANK_RANGE:
-        raise DomainError(f"unknown family {family!r}; expected one of A-G")
+        raise DomainError(f"unknown family {brief(repr(family))}; expected one of A-G")
     lo, hi = RANK_RANGE[family]
     if rank < lo or (hi is not None and rank > hi):
         bound = f"rank >= {lo}" if hi is None else (

@@ -1,6 +1,7 @@
 """Command-line interface: document shapes, frozen values, exit codes."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -142,6 +143,15 @@ def test_invariants_builds_one_flow(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_each_rational_is_parsed_once(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, flagflow.cli, "parse_rational")
+    run_json(capsys, ["flow", "--type", "A", "--rank", "3", "--class", "1,2/3,5", "--t", "1/9"])
+    assert len(calls) == 3 + 1
+    calls.clear()
+    run_json(capsys, ["invariants", "--type", "A", "--rank", "3", "--divisor", "1,2,3"])
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ["describe", *A2_FULL], ["--version"], ["--help"], ["describe", "--help"],
@@ -225,7 +235,11 @@ def test_flow_csv_matches_exact_sidecar(capsys, tmp_path):
                  "--format", "csv", "--output", str(target)])
     assert code == 0
     with open(target, newline="") as fh:
-        rows = list(csv.reader(fh))
+        text = fh.read()
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    written = io.StringIO()
+    csv.writer(written).writerows(rows)
+    assert text == written.getvalue() and text.endswith("\r\n")
     assert rows[0] == ["t", "R", "ricci_norm_sq", "vol_coeff", "R_lower", "R_upper"]
     sidecar = json.loads((tmp_path / "traj.csv.json").read_text())
     samples = sidecar["result"]["samples"]
@@ -278,6 +292,12 @@ def test_job_file_is_equivalent_to_flags(capsys, tmp_path):
     from_flags = run_json(capsys, ["invariants", *P2, "--divisor", "1"])
     from_job = run_json(capsys, ["invariants", "--job", str(job)])
     assert from_flags["result"] == from_job["result"]
+    # flow fields in an invariants job are read, and neither priced nor used
+    job.write_text(json.dumps({
+        "lie_family": "A", "rank": 2, "theta": [2], "divisor": ["1"],
+        "class": ["1", "2"], "t_max_fraction": "2",
+    }))
+    assert run_json(capsys, ["invariants", "--job", str(job)])["result"] == from_flags["result"]
     # list fields take a comma-separated string in a job file too
     job.write_text(json.dumps({"lie_family": "A", "rank": 2, "class": "1,2", "t": "0"}))
     from_flags = run_json(capsys, ["flow", *A2_FULL, "--class", "1,2", "--t", "0"])
@@ -388,6 +408,8 @@ def test_domain_errors_exit_three(capsys, tmp_path):
     b8_flow = ["flow", "--type", "B", "--rank", "8", "--class", ",".join([str(2 ** 120)] * 8)]
     empty_job = tmp_path / "empty.json"
     empty_job.write_text(json.dumps({"lie_family": "A", "rank": 2, "class": []}))
+    long_family_job = tmp_path / "long_family.json"
+    long_family_job.write_text(json.dumps({"lie_family": "Q" * 5000, "rank": 2}))
     for argv, reason in [
         # an empty class or divisor is refused by its length, before it is priced
         (["flow", *A2_FULL, "--class="], "0 coefficients given; expected 2"),
@@ -424,6 +446,12 @@ def test_domain_errors_exit_three(capsys, tmp_path):
          "simple-root index <9967-bit number> out of range 1..1"),
         (["flow", *P1, "--class", "1", "--samples", nines[:3000]],
          "--samples <9967-bit number> is over the budget of 10000"),
+        (["invariants", *A2_FULL, "--divisor", "1,1", "--lct-m=-" + nines[:4000]],
+         "multiple m must be a positive integer (got <13289-bit number>)"),
+        (["invariants", *P1, "--divisor", "1/3", "--lct-m", "1" + "0" * 3999],
+         "m*D is not integral for m = <13286-bit number>"),
+        (["describe", "--job", str(long_family_job)],
+         "unknown family 'QQQQQQQQQQQQQQQQQQQ... (5002 characters)"),
         ([*b8_flow, "--samples", "161"],
          "--samples and --class and --t-max-fraction: 161 samples times n = 64 times 128 "
          "bits is 1318912 bits, over the budget of 1310720"),

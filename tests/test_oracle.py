@@ -59,12 +59,12 @@ def test_identity_checks_pass_on_honest_trajectory():
 
 def test_trajectory_bounds_pass_and_cover_all_names():
     fs = a2_flow()
-    outcomes = check_trajectory_bounds(fs, samples=10)
+    outcomes = check_trajectory_bounds(fs)
     for name in BOUND_NAMES:
         assert outcomes[name].passed
     assert "einstein_closure" not in outcomes
     ke = make_flow(fs.flag, (Fraction(2), Fraction(2)))
-    ke_outcomes = check_trajectory_bounds(ke, samples=10)
+    ke_outcomes = check_trajectory_bounds(ke)
     assert ke_outcomes["einstein_closure"].passed
 
 
@@ -74,7 +74,7 @@ def test_trajectory_bounds_report_each_failed_verdict(monkeypatch):
     honest = oracle.bounds_report
     monkeypatch.setattr(oracle, "bounds_report",
                         lambda fs, t: dataclasses.replace(honest(fs, t), vol_coeff=Fraction(0)))
-    outcomes = check_trajectory_bounds(a2_flow(), samples=4)
+    outcomes = check_trajectory_bounds(a2_flow())
     assert not outcomes["volume_sandwich"].passed
     ce = outcomes["volume_sandwich"].counterexample
     assert ce["check"] == "volume_sandwich" and ce["vol_coeff"] == "0" and ce["b"] == ["1", "2"]
@@ -272,12 +272,11 @@ def test_brute_nef_bisection_matches_a_linear_scan():
 def test_brute_nef_inconclusive_returns_none():
     p2 = build_flag(build_root_system("A", 2), (2,))
     assert brute_nef(p2, (Fraction(101),)) is None
-    assert brute_nef(p2, (Fraction(3),), max_q=2) is None
 
 
 def test_nef_consistency_check_passes():
     p2 = build_flag(build_root_system("A", 2), (2,))
-    out = check_nef_consistency(p2, (Fraction(2),), max_q=64)
+    out = check_nef_consistency(p2, (Fraction(2),))
     assert out["nef_brute_match"].passed
     assert out["flow_nef_consistency"].passed
 
@@ -288,7 +287,7 @@ def test_scale_laws_check():
 
 
 def test_weyl_gt_grid_small():
-    assert check_weyl_gt_grid(max_coord=1).passed
+    assert check_weyl_gt_grid().passed
 
 
 def test_small_suite_passes_and_counts_instances():
@@ -318,8 +317,3 @@ def test_different_seeds_draw_different_classes():
     cfg = SuiteConfig(types=(("A", 2),), classes_per_flag=3, seed=1)
     other = dataclasses.replace(cfg, seed=2)
     assert run_suite(cfg).exact_ok and run_suite(other).exact_ok
-
-
-def test_exact_checks_survive_a_coarse_fd_step():
-    exact, _fd = check_ricci_identity(a2_flow(), fd_step=1e-2)
-    assert exact.passed

@@ -1,6 +1,9 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and nothing on
+every request's path that only one option needs."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,3 +23,14 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
+
+
+def test_cli_import_leaves_out_csv():
+    # csv served only --format csv; a fresh process shows what start-up imports
+    src = str(Path(flagflow.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, flagflow.cli; print('csv' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == "False\n"
