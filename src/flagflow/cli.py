@@ -29,8 +29,6 @@ from .flow import (
     make_flow,
     ricci_lower_constant,
 )
-from .invariants import invariants_of, lct_lower
-from .oracle import SuiteConfig, run_suite
 from .parabolic import ParabolicFlag, build_flag, canonical_divisor, require_length
 from .rootsys import build_root_system
 
@@ -50,6 +48,11 @@ MAX_INPUT_BITS = 1 << 17
 MAX_RATIONAL_CHARS = MAX_INPUT_BITS
 # the decimal exponent that ends a rational in Fraction's grammar, sign dropped
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+# the offending value where argparse's messages repeat one: a choice or a typed
+# value (in repr), the arguments left unrecognized or an ambiguous option; left
+# uncompiled, so that only a usage error pays for it
+_ECHOED = (r"(?s)(invalid choice: |invalid \w+ value: |unrecognized arguments: "
+           r"|ambiguous option: )(.*?)( \(choose from [^()]*\)| could match [-\w, ]*)?\Z")
 
 
 class UsageError(Exception):
@@ -70,21 +73,17 @@ def parse_rational(text) -> Fraction:
 
 class _Parser(argparse.ArgumentParser):
     """argparse without its guard on writes: a failed write or flush of
-    --help or --version raises, so main sees a closed stdout."""
+    --help or --version raises, so main sees a closed stdout. An offending
+    value that an error message repeats is shown through brief()."""
+
+    def error(self, message):
+        super().error(re.sub(_ECHOED, lambda m: m[1] + brief(m[2]) + (m[3] or ""), message))
 
     def _print_message(self, message, file=None):
         if message:
             file = file or sys.stderr
             file.write(message)
             file.flush()
-
-
-def _int_flag(text: str) -> int:
-    """argparse's type=int, with its message, showing a long value by its size."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {brief(repr(text))}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,12 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="nef value, degree, section counts, bounds")
     add_descriptor(p)
     p.add_argument("--divisor", help="comma-separated rationals: ample divisor class")
-    p.add_argument("--lct-m", dest="lct_m", type=_int_flag,
+    p.add_argument("--lct-m", dest="lct_m", type=int,
                    help="report the log canonical threshold bound for m*D")
     add_output(p)
 
     p = sub.add_parser("check", help="run the verification suite")
-    p.add_argument("--seed", type=_int_flag, default=0)
+    p.add_argument("--seed", type=int, default=0)
     add_output(p)
     return parser
 
@@ -417,6 +416,7 @@ def cmd_flow(flag, b: tuple[Fraction, ...], time: Fraction, count: int | None) -
 
 
 def cmd_invariants(flag, d: tuple[Fraction, ...], lct_m: int | None) -> dict:
+    from .invariants import invariants_of, lct_lower  # only this command needs it
     rep = invariants_of(flag, d)
     result = {
         "tau": rep.tau,
@@ -436,6 +436,7 @@ def cmd_invariants(flag, d: tuple[Fraction, ...], lct_m: int | None) -> dict:
 
 def _dispatch(args) -> int:
     if args.command == "check":
+        from .oracle import SuiteConfig, run_suite  # only check loads the suite
         report = run_suite(SuiteConfig(seed=args.seed))
         doc = {"input": {"seed": args.seed}, "result": report.as_dict(),
                "version": __version__}

@@ -337,7 +337,13 @@ def test_usage_errors_exit_two(capsys):
                  ["describe", "--type", "A", "--rank", "3", "--theta", nines],
                  ["describe", "--type", "A", "--rank", "3", "--theta", "1,x" + nines],
                  ["flow", *A2_FULL, "--class", "1,2", "--samples", nines],
-                 ["check", "--seed", nines]):
+                 ["check", "--seed", nines],
+                 ["check", "--format", nines],
+                 [nines],
+                 ["describe", *A2_FULL, nines],
+                 ["describe", "--" + nines],
+                 ["describe", "--=" + nines],
+                 ["describe", *A2_FULL, "--t=" + nines]):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err) < 300, err[:300]
@@ -345,6 +351,10 @@ def test_usage_errors_exit_two(capsys):
     assert main(["invariants", *P2, "--divisor", "1", "--lct-m", nines]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()[-1]) < 120, err[:300]
+    # so is describe's with --type's message, which lists every family
+    assert main(["describe", "--type", nines, "--rank", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()[-1]) < 160, err[:300]
     # a short value keeps argparse's own message
     assert main(["check", "--seed", "abc"]) == 2
     assert capsys.readouterr().err.endswith(
@@ -352,6 +362,14 @@ def test_usage_errors_exit_two(capsys):
     assert main(["invariants", *P2, "--divisor", "1", "--lct-m", "x"]) == 2
     assert capsys.readouterr().err.endswith(
         "error: argument --lct-m: invalid int value: 'x'\n")
+    assert main(["describe", "--type", "X", "--rank", "2"]) == 2
+    assert capsys.readouterr().err.endswith("error: argument --type: invalid choice: "
+                                            "'X' (choose from 'A', 'B', 'C', 'D', 'E', 'F', 'G')\n")
+    assert main(["describe", *A2_FULL, "x", "y"]) == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: x y\n")
+    assert main(["describe", *A2_FULL, "--t=5"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: ambiguous option: --t=5 could match --type, --theta\n")
 
 
 def test_job_conflicts_exit_two(capsys, tmp_path):

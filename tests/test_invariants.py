@@ -1,5 +1,7 @@
 """Cone invariants: nef value, degree, thresholds, spectral gap estimates."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from flagflow import (
     DomainError,
     build_flag,
     build_root_system,
+    char_of_divisor,
     class_at,
     degree,
     flow_of_divisor,
@@ -184,3 +187,22 @@ def test_scale_laws_for_cone_invariants(k, c1, c2):
     assert script_T(flag, kd) == k * script_T(flag, d)
     assert script_C(flag, kd) == k * script_C(flag, d)
     assert degree(flag, kd) == k ** flag.n * degree(flag, d)
+
+
+@pytest.mark.parametrize("family, rank, theta", [
+    ("A", 2, ()), ("B", 3, (1,)), ("C", 4, (2, 3)), ("D", 5, (1,)), ("G", 2, ()),
+    ("F", 4, ()), ("E", 6, ()), ("E", 7, (2, 5)), ("E", 8, (1, 3, 5, 7)), ("E", 8, ()),
+    ("A", 20, ()), ("D", 16, ()),
+])
+def test_degree_is_the_top_difference_of_the_hilbert_polynomial(family, rank, theta):
+    # Borel-Weil: h(k) = dim V(k chi_D) is a polynomial of degree n in k with
+    # leading coefficient deg(D) / n!, so its n-th difference at 0 is deg(D)
+    flag = build_flag(build_root_system(family, rank), theta)
+    rng = random.Random(f"{family}{rank}{theta}")
+    d = tuple(Fraction(rng.randint(1, 9)) for _ in flag.complement)
+    chi = char_of_divisor(flag, d)
+    n = flag.n
+    top_difference = sum(
+        (-1) ** (n - k) * math.comb(n, k) * weyl_dim(flag.rs, tuple(k * x for x in chi))
+        for k in range(n + 1))
+    assert degree(flag, d) == top_difference

@@ -25,12 +25,27 @@ def test_package_imports_only_the_standard_library():
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
 
 
+def fresh_env() -> dict:
+    src = str(Path(flagflow.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_import_leaves_out_csv():
     # csv served only --format csv; a fresh process shows what start-up imports
-    src = str(Path(flagflow.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, flagflow.cli; print('csv' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out == "False\n"
+
+
+def test_start_up_leaves_out_the_oracle_and_invariants():
+    # only check runs the oracle and only invariants runs invariants; -X importtime
+    # names every module a fresh process imports, at start-up or later
+    for args in (["-c", "import flagflow.cli"],
+                 ["-m", "flagflow.cli", "describe", "--type", "A", "--rank", "2"]):
+        err = subprocess.run([sys.executable, "-X", "importtime", *args], env=fresh_env(),
+                             capture_output=True, text=True, timeout=60, check=True).stderr
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()}
+        assert "flagflow.flow" in loaded, err[-300:]
+        assert not {"flagflow.oracle", "flagflow.invariants"} & loaded
