@@ -17,7 +17,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -46,6 +45,8 @@ DEFAULT_T_MAX_FRACTION = "99/100"
 MAX_INPUT_BITS = 1 << 17
 # longer values carry more bits than the budget and are refused unparsed
 MAX_RATIONAL_CHARS = MAX_INPUT_BITS
+# the longest file name most file systems allow; a longer path is shown by its size
+MAX_SHOWN_PATH = 255
 # the decimal exponent that ends a rational in Fraction's grammar, sign dropped
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 # the offending value where argparse's messages repeat one: a choice or a typed
@@ -195,11 +196,17 @@ def _json_int(text: str) -> int | str:
         return text
 
 
+def _shown_path(path: str) -> str:
+    return path if len(path) <= MAX_SHOWN_PATH else brief(path)
+
+
 def _read_job(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh, parse_int=_json_int)
     except (OSError, ValueError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc.filename = _shown_path(path)  # str(exc) repeats it
         raise UsageError(f"cannot read job file: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"job file must hold a JSON object, got {type(data).__name__}")
@@ -324,7 +331,7 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+        raise UsageError(f"cannot write {_shown_path(path)}: {exc.strerror}") from exc
 
 
 def _emit(doc: dict, output: str | None) -> None:
@@ -428,9 +435,9 @@ def cmd_invariants(flag, d: tuple[Fraction, ...], lct_m: int | None) -> dict:
         "lambda1_upper": rep.lambda1_upper,
     }
     if rep.borel is not None:
-        result["borel_only_bounds"] = asdict(rep.borel)
+        result["borel_only_bounds"] = rep.borel._asdict()
     if lct_m is not None:
-        result["lct"] = {"m": lct_m, **asdict(lct_lower(flag, d, lct_m))}
+        result["lct"] = {"m": lct_m, **lct_lower(flag, d, lct_m)._asdict()}
     return result
 
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,11 +58,14 @@ RM_BOUND_SYMBOLIC = "C(n)/(T-t)"
 
 @dataclass(frozen=True)
 class FlowSolution:
-    """Immutable trajectory data; evaluators are pure functions of (fs, t)."""
+    """Immutable trajectory data; evaluators are pure functions of (fs, t). A dataclass,
+    unlike the other records, because the negative controls corrupt one field with
+    dataclasses.replace."""
 
     flag: ParabolicFlag
     b0: KahlerClass
     T: Fraction
+    C: Fraction                     # C(omega_0) = max_alpha 2 b_alpha / l_alpha
     p_const: tuple[Fraction, ...]   # P_beta(0), per comp_pos_roots
     p_slope: tuple[int, ...]        # always -a_beta
     a: tuple[int, ...]              # <delta_P, h_beta^v>, per comp_pos_roots
@@ -72,23 +76,23 @@ class FlowSolution:
     troots: tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """Exact two-sided bounds at one time, with one verdict per bound."""
-
-    R: Fraction
-    R_lower: Fraction               # 1/(T-t)
-    R_upper: Fraction               # n/(T-t)
-    ricci_norm_sq: Fraction
-    ricci_norm_sq_lower: Fraction   # R^2/n
-    ricci_norm_sq_upper: Fraction   # R^2
-    vol_coeff: Fraction
-    vol_coeff_lower: Fraction       # (1-t/T)^n * vol(0)
-    vol_coeff_upper: Fraction       # (1-t/T) * vol(0)
-    lambda1_lower: Fraction         # 2/C(omega_0)
-    lambda1_upper: Fraction         # 2R * M/(M-1), M = dim V(delta_P)
-    r_upper_attained: bool          # exact equality R = n/(T-t), the Einstein case
-    rm_bound: str = RM_BOUND_SYMBOLIC
+class BoundsReport(namedtuple("BoundsReport", (
+        "R",
+        "R_lower",              # 1/(T-t)
+        "R_upper",              # n/(T-t)
+        "ricci_norm_sq",
+        "ricci_norm_sq_lower",  # R^2/n
+        "ricci_norm_sq_upper",  # R^2
+        "vol_coeff",
+        "vol_coeff_lower",      # (1-t/T)^n * vol(0)
+        "vol_coeff_upper",      # (1-t/T) * vol(0)
+        "lambda1_lower",        # 2/C(omega_0)
+        "lambda1_upper",        # 2R * M/(M-1), M = dim V(delta_P)
+        "r_upper_attained",     # exact equality R = n/(T-t), the Einstein case
+        "rm_bound"), defaults=(RM_BOUND_SYMBOLIC,))):
+    """Exact two-sided bounds at one time, with one verdict per bound; every
+    value but the last two is a Fraction."""
+    __slots__ = ()
 
     def verdicts(self) -> dict[str, bool]:
         """Whether each two-sided bound holds, by bound name."""
@@ -123,8 +127,8 @@ def make_flow(flag: ParabolicFlag, b: KahlerClass) -> FlowSolution:
         (_dot(row, scaled), _dot(row, flag.fano), m) for row, m in flag.troots)
     ratios = {x / l for x, l in zip(b, flag.fano)}
     v0 = _volume(flag, troots, den, [num for num, _, _ in troots])
-    return FlowSolution(flag, b, min(ratios), p_const, tuple(-x for x in a), a,
-                        len(ratios) == 1, v0, den, troots)
+    return FlowSolution(flag, b, min(ratios), 2 * max(ratios), p_const, tuple(-x for x in a),
+                        a, len(ratios) == 1, v0, den, troots)
 
 
 def _dot(row: tuple[int, ...], coeffs) -> int:
@@ -133,10 +137,13 @@ def _dot(row: tuple[int, ...], coeffs) -> int:
 
 
 def _check_time(fs: FlowSolution, t, allow_T: bool = False) -> Fraction:
-    t = Fraction(t)
-    if t < 0:
+    if not isinstance(t, Fraction):
+        t = Fraction(t)
+    if t.numerator < 0:
         raise DomainError(f"negative time t = {brief(t)}")
-    if t > fs.T or (t == fs.T and not allow_T):
+    # the sign of t - T, denominators being positive
+    past = t.numerator * fs.T.denominator - fs.T.numerator * t.denominator
+    if past > 0 or (past == 0 and not allow_T):
         raise DomainError(f"past singular time: t = {brief(t)}, T = {brief(fs.T)}")
     return t
 
@@ -184,17 +191,16 @@ def volume(fs: FlowSolution, t) -> Fraction:
 def bounds_report(fs: FlowSolution, t) -> BoundsReport:
     """Evaluate every bound along the flow exactly at t.
 
-    The P_g(t) are evaluated once; vol(0) is fs.v0 and M = dim V(delta_P)
-    is computed once per flag.
+    The P_g(t) are evaluated once; vol(0) is fs.v0, C(omega_0) is fs.C and
+    2M/(M-1), M = dim V(delta_P), is computed once per flag.
     """
     t = _check_time(fs, t)
     n = fs.flag.n
-    m = fs.flag.delta_dim
     gap = fs.T - t
     L, ms = _numerators(fs, t)
     r = _rate_sum(fs.troots, L, ms, 1)
     r_sq = r ** 2  # a power of a reduced fraction needs no gcd, unlike r * r
-    shrink = 1 - t / fs.T
+    shrink = gap / fs.T  # 1 - t/T
     r_upper = n / gap
     return BoundsReport(
         R=r,
@@ -206,15 +212,15 @@ def bounds_report(fs: FlowSolution, t) -> BoundsReport:
         vol_coeff=_volume(fs.flag, fs.troots, L, ms),
         vol_coeff_lower=shrink ** n * fs.v0,
         vol_coeff_upper=shrink * fs.v0,
-        lambda1_lower=2 / ricci_lower_constant(fs),
-        lambda1_upper=2 * r * m / (m - 1),
+        lambda1_lower=2 / fs.C,
+        lambda1_upper=r * fs.flag.eigen_ratio,
         r_upper_attained=(r == r_upper),  # reduced fractions compare without a gcd
     )
 
 
 def ricci_lower_constant(fs: FlowSolution) -> Fraction:
     """C(omega_0) = max_alpha 2 b_alpha / l_alpha; Ric >= 1/C for all t in [0,T)."""
-    return max(2 * x / l for x, l in zip(fs.b0, fs.flag.fano))
+    return fs.C
 
 
 def diameter_bound(fs: FlowSolution) -> tuple[float, Fraction]:

@@ -15,7 +15,7 @@ is carried as the symbolic string "pi*p/q" with p/q = 2*T(D) exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -31,33 +31,34 @@ from .parabolic import (
 )
 
 
-@dataclass(frozen=True)
-class BorelBounds:
+class BorelBounds(namedtuple("BorelBounds", (
+        "seshadri_upper",       # 2 T(D)
+        "gromov_width_upper",   # 2 T(D)
+        "kahler_radius_upper",  # str, symbolic: pi * (2 T(D))
+        "sympl_radius_upper"))):  # 2 pi (2n) / R_c1 with R_c1 = 2 pi R(0)
     """Section-5 style bounds, defined only when Theta is empty."""
-
-    seshadri_upper: Fraction        # 2 T(D)
-    gromov_width_upper: Fraction    # 2 T(D)
-    kahler_radius_upper: str        # symbolic, pi * (2 T(D))
-    sympl_radius_upper: Fraction    # 2 pi (2n) / R_c1 with R_c1 = 2 pi R(0)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    tau: Fraction
-    T_script: Fraction
-    C_script: Fraction
-    degree: Fraction
-    dimV: int | None                # lattice-point count; None unless D integral
-    lambda1_lower: Fraction         # 2 / C(D)
-    lambda1_upper: Fraction | None  # 2n * dimV / (dimV - 1); None unless D integral
-    borel: BorelBounds | None       # present iff Theta is empty
+class InvariantReport(namedtuple("InvariantReport", (
+        "tau",
+        "T_script",
+        "C_script",
+        "degree",
+        "dimV",                 # int lattice-point count; None unless D integral
+        "lambda1_lower",        # 2 / C(D)
+        "lambda1_upper",        # 2n * dimV / (dimV - 1); None unless D integral
+        "borel"))):             # BorelBounds, present iff Theta is empty, else None
+    """The invariants of one ample class; the rationals are Fractions."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LctReport:
-    bound: Fraction                 # m / C(mD) <= lct(X, D)
-    klt: bool                       # C(mD) < m
-    lc: bool                        # C(mD) <= m
+class LctReport(namedtuple("LctReport", (
+        "bound",                # m / C(mD) <= lct(X, D), a Fraction
+        "klt",                  # C(mD) < m
+        "lc"))):                # C(mD) <= m
+    """The log canonical threshold bound of m * D, with its two verdicts."""
+    __slots__ = ()
 
 
 def nef_value(flag: ParabolicFlag, coeffs: DivisorClass) -> Fraction:

@@ -10,16 +10,18 @@ The two flow identities are checked root by root from the stored p_const,
 p_slope and a, never from the kernel's T-root groups, and in integers: at
 each time every P_beta is put over one denominator, so each comparison is one
 integer equality. Fractions are built only for a counterexample.
+
+brute_nef takes, for each denominator q of its grid, the least numerator p
+directly, as the largest ceiling of q * l_alpha / d_alpha.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import random
 import time
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -50,25 +52,28 @@ FD_TOL = 1e-6               # relative
 MAX_Q = 64                  # nef brute-force denominator bound
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    types: tuple[tuple[str, int], ...] = DEFAULT_TYPES
-    classes_per_flag: int = 3       # random Kahler classes per flag (plus one Einstein)
-    seed: int = 0
+class SuiteConfig(namedtuple("SuiteConfig", (
+        "types",                # ((family, rank), ...)
+        "classes_per_flag",     # random Kahler classes per flag (plus one Einstein)
+        "seed"), defaults=(DEFAULT_TYPES, 3, 0))):
+    """What run_suite covers: the types, the classes per flag and the seed."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    passed: bool
-    counterexample: dict | None = None
+class CheckOutcome(namedtuple("CheckOutcome", (
+        "passed",
+        "counterexample"), defaults=(None,))):  # dict for a failure, else None
+    """One check's verdict on one instance."""
+    __slots__ = ()
 
 
-@dataclass
-class SuiteReport:
-    checks: dict[str, dict[str, int]]   # name -> {"pass": ..., "fail": ...}
-    first_counterexample: dict | None
-    instances: int
-    wall_time_s: float
+class SuiteReport(namedtuple("SuiteReport", (
+        "checks",               # name -> {"pass": ..., "fail": ...}
+        "first_counterexample",  # dict or None
+        "instances",
+        "wall_time_s"))):
+    """run_suite's pass and fail counts per check, with one counterexample."""
+    __slots__ = ()
 
     @property
     def exact_ok(self) -> bool:
@@ -109,13 +114,22 @@ def _counterexample(flag: ParabolicFlag, **fields) -> dict:
     }
 
 
-def _cleared(fs: FlowSolution, t: Fraction) -> tuple[int, list[int]]:
-    """(L, [M_beta]) with P_beta(t) = M_beta / L, read from p_const and p_slope
-    alone: L = lcm(den(t), denominators of p_const), every M_beta an integer."""
-    L = math.lcm(t.denominator, *(c.denominator for c in fs.p_const))
-    shift = t.numerator * (L // t.denominator)
-    return L, [c.numerator * (L // c.denominator) + s * shift
-               for c, s in zip(fs.p_const, fs.p_slope)]
+def _sample(T: Fraction, k: int, parts: int) -> Fraction:
+    """The time T * k / parts, reduced once."""
+    return Fraction(T.numerator * k, T.denominator * parts)
+
+
+def _cleared(fs: FlowSolution, parts: int):
+    """(t, L, [M_beta]) at t = T k / parts for k = 0..parts-1, with P_beta(t) = M_beta / L
+    read from p_const and p_slope alone: L = lcm(den(t), denominators of p_const),
+    every M_beta an integer. p_const is put over its own lcm D once."""
+    D = math.lcm(*(c.denominator for c in fs.p_const))
+    nums = [c.numerator * (D // c.denominator) for c in fs.p_const]
+    for k in range(parts):
+        t = _sample(fs.T, k, parts)
+        L = math.lcm(D, t.denominator)
+        scale, shift = L // D, t.numerator * (L // t.denominator)
+        yield t, L, [x * scale + s * shift for x, s in zip(nums, fs.p_slope)]
 
 
 def _common_sums(terms: list[tuple[int, int, int]]) -> tuple[int, int, int]:
@@ -144,9 +158,7 @@ def check_scalar_volume_identity(fs: FlowSolution) -> CheckOutcome:
     cross-multiplying integers. Fractions are built only for a counterexample.
     """
     n = fs.flag.n
-    for k in range(n + 2):
-        t = fs.T * k / (n + 2)
-        L, ms = _cleared(fs, t)
+    for t, L, ms in _cleared(fs, n + 2):
         residual, r, q = _common_sums(
             [(a + s, a, m) for a, s, m in zip(fs.a, fs.p_slope, ms)])
         kernel_r = scalar_curvature(fs, t)
@@ -158,10 +170,9 @@ def check_scalar_volume_identity(fs: FlowSolution) -> CheckOutcome:
     return CheckOutcome(True)
 
 
-def _scalar_float(fs: FlowSolution, t: float) -> float:
-    return sum(
-        a / (float(c) + float(s) * t)
-        for a, c, s in zip(fs.a, fs.p_const, fs.p_slope))
+def _scalar_float(terms: list[tuple[int, float, float]], t: float) -> float:
+    """R(t) in floats from the terms (a_beta, P_beta(0), slope_beta)."""
+    return sum(a / (c + s * t) for a, c, s in terms)
 
 
 def check_ricci_identity(fs: FlowSolution) -> tuple[CheckOutcome, CheckOutcome]:
@@ -180,9 +191,7 @@ def check_ricci_identity(fs: FlowSolution) -> tuple[CheckOutcome, CheckOutcome]:
     """
     n = fs.flag.n
     exact = CheckOutcome(True)
-    for k in range(n + 2):
-        t = fs.T * k / (n + 2)
-        L, ms = _cleared(fs, t)
+    for t, L, ms in _cleared(fs, n + 2):
         lhs, rhs, q_sq = _common_sums(
             [(-a * s, a * a, m * m) for a, s, m in zip(fs.a, fs.p_slope, ms)])
         kernel = ricci_norm_sq(fs, t)
@@ -195,10 +204,11 @@ def check_ricci_identity(fs: FlowSolution) -> tuple[CheckOutcome, CheckOutcome]:
 
     fd = CheckOutcome(True)
     h = min(FD_STEP, float(fs.T) * 1e-3)
+    terms = [(a, float(c), float(s)) for a, c, s in zip(fs.a, fs.p_const, fs.p_slope)]
     for j in range(1, 6):
-        t = fs.T * j / 10
+        t = _sample(fs.T, j, 10)
         tf = float(t)
-        diff = (_scalar_float(fs, tf + h) - _scalar_float(fs, tf - h)) / (2 * h)
+        diff = (_scalar_float(terms, tf + h) - _scalar_float(terms, tf - h)) / (2 * h)
         truth = float(ricci_norm_sq(fs, t))
         rel = abs(diff - truth) / abs(truth)
         if rel > FD_TOL:
@@ -219,12 +229,12 @@ def check_trajectory_bounds(fs: FlowSolution) -> dict[str, CheckOutcome]:
             fs.flag, b=fs.b0, check=name, t=t, **extra)))
 
     prev_r = None
-    for t in (fs.T * j / SAMPLES_PER_INSTANCE for j in range(SAMPLES_PER_INSTANCE)):
+    for t in (_sample(fs.T, j, SAMPLES_PER_INSTANCE) for j in range(SAMPLES_PER_INSTANCE)):
         rep = bounds_report(fs, t)
         r = rep.R
         for name, holds in rep.verdicts().items():
             if not holds:
-                fail(name, t, **asdict(rep))
+                fail(name, t, **rep._asdict())
         if prev_r is not None and not r > prev_r:
             fail("monotone_scalar", t, R=r, previous=prev_r)
         if fs.einstein and not rep.r_upper_attained:
@@ -246,33 +256,26 @@ def check_trajectory_bounds(fs: FlowSolution) -> dict[str, CheckOutcome]:
 def brute_nef(flag: ParabolicFlag, coeffs) -> Fraction | None:
     """Nef value by grid search over p/q: minimize p/q with p*D + q*K >= 0.
 
-    For each q <= MAX_Q = 64 the least p in [0, p_cap = MAX_Q max l_alpha] is
-    found by bisection, since the condition is monotone in p. Returns None
-    ("inconclusive") when the grid cannot certify the exact value; never a
-    wrong answer. The certificate is that every reduced numerator of d_alpha
-    is <= MAX_Q and the needed p fits the p range.
+    For each q <= MAX_Q = 64 the least p with p * d_alpha >= q * l_alpha for
+    every alpha is max_alpha ceil(q * l_alpha / d_alpha), taken when it lies in
+    [0, p_cap = MAX_Q max l_alpha]. Returns None ("inconclusive") when the
+    grid cannot certify the exact value; never a wrong answer. The certificate
+    is that every reduced numerator of d_alpha is <= MAX_Q and the needed p
+    fits the p range; q = 1 then always has a p in range.
     """
     require_ample(flag, coeffs)
     coeffs = tuple(Fraction(c) for c in coeffs)
     p_cap = MAX_Q * max(flag.fano)
     # p * d_alpha >= q * l_alpha, cleared of the denominator of d_alpha
     sides = [(c.numerator, l * c.denominator) for c, l in zip(coeffs, flag.fano)]
-    best: Fraction | None = None
+    if not all(c <= MAX_Q and l <= p_cap for c, l in sides):
+        return None
+    best_p, best_q = p_cap + 1, 1  # above every p/q in range
     for q in range(1, MAX_Q + 1):
-
-        def fits(p: int) -> bool:
-            return all(p * c >= q * l for c, l in sides)
-
-        if not fits(p_cap):
-            continue
-        # fits is monotone in p: the least p in [0, p_cap] that fits
-        candidate = Fraction(bisect.bisect_left(range(p_cap + 1), True, key=fits), q)
-        if best is None or candidate < best:
-            best = candidate
-    certified = all(
-        c.numerator <= MAX_Q and l * c.denominator <= p_cap
-        for c, l in zip(coeffs, flag.fano))
-    return best if certified else None
+        p = max(-(-q * l // c) for c, l in sides)
+        if p <= p_cap and p * best_q < best_p * q:
+            best_p, best_q = p, q
+    return Fraction(best_p, best_q)
 
 
 def check_nef_consistency(flag: ParabolicFlag, coeffs) -> dict[str, CheckOutcome]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -28,17 +27,31 @@ from .rootsys import RootSystem, Weight, fund_coords, rho_pairing
 DivisorClass = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
 class ParabolicFlag:
-    """Immutable data of X_P: complementary roots, delta_P, Fano coefficients."""
+    """Data of X_P: complementary roots, delta_P, Fano coefficients.
 
-    rs: RootSystem
-    theta: tuple[int, ...]          # 1-based simple-root indices, ascending
-    complement: tuple[int, ...]     # Sigma \ Theta, ascending
-    comp_pos_roots: tuple[int, ...]  # indices into rs.positive_roots
-    delta_p: tuple[int, ...]        # anticanonical weight, fundamental-weight coords
-    fano: tuple[int, ...]           # l_alpha = <delta_P, h_alpha^v>, per complement
-    n: int                          # complex dimension = #comp_pos_roots
+    A plain class, not a tuple, so that the cached properties have an instance
+    dict to live in. Nothing changes a flag once built; equal fields, equal flags.
+    """
+
+    def __init__(self, rs, theta, complement, comp_pos_roots, delta_p, fano, n) -> None:
+        self.rs: RootSystem = rs
+        self.theta: tuple[int, ...] = theta  # 1-based simple-root indices, ascending
+        self.complement: tuple[int, ...] = complement  # Sigma \ Theta, ascending
+        self.comp_pos_roots: tuple[int, ...] = comp_pos_roots  # indices into rs.positive_roots
+        self.delta_p: tuple[int, ...] = delta_p  # anticanonical weight, fundamental-weight coords
+        self.fano: tuple[int, ...] = fano  # l_alpha = <delta_P, h_alpha^v>, per complement
+        self.n: int = n  # complex dimension = #comp_pos_roots
+
+    def _fields(self) -> tuple:
+        return (self.rs, self.theta, self.complement, self.comp_pos_roots, self.delta_p,
+                self.fano, self.n)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ParabolicFlag) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @cached_property
     def delta_dim(self) -> int:
@@ -47,6 +60,12 @@ class ParabolicFlag:
         # delta_P pairs positively with every complementary root, so V(delta_P) is not trivial
         assert m > 1, "dim V(delta_P) = 1 leaves the eigenvalue bound undefined"
         return m
+
+    @cached_property
+    def eigen_ratio(self) -> Fraction:
+        """2M/(M-1) for M = delta_dim: lambda_1 <= R times this (bounds_report)."""
+        m = self.delta_dim
+        return Fraction(2 * m, m - 1)
 
     @cached_property
     def troots(self) -> tuple[tuple[tuple[int, ...], int], ...]:

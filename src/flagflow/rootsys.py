@@ -17,7 +17,7 @@ them stay ints; a rational weight carries Fractions.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DomainError, brief
@@ -126,17 +126,16 @@ def _coroots(cartan: Matrix) -> dict[Root, Root]:
     return {k: found[k][0] for k in sorted(found, key=lambda k: (sum(k), k))}
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(namedtuple("RootSystem", (
+        "family",           # str
+        "rank",             # int
+        "cartan",           # Matrix
+        "positive_roots",   # tuple[Root, ...]
+        # pairing_rows[b][j] = <w_j, h_beta^v> for beta = positive_roots[b]: the
+        # coefficients of the coroot h_beta^v over the simple coroots
+        "pairing_rows"))):  # tuple[tuple[int, ...], ...]
     """Immutable root-system data; safe to share between threads."""
-
-    family: str
-    rank: int
-    cartan: Matrix
-    positive_roots: tuple[Root, ...]
-    # pairing_rows[b][j] = <w_j, h_beta^v> for beta = positive_roots[b]: the
-    # coefficients of the coroot h_beta^v over the simple coroots
-    pairing_rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 @functools.cache

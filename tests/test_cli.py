@@ -343,7 +343,9 @@ def test_usage_errors_exit_two(capsys):
                  ["describe", *A2_FULL, nines],
                  ["describe", "--" + nines],
                  ["describe", "--=" + nines],
-                 ["describe", *A2_FULL, "--t=" + nines]):
+                 ["describe", *A2_FULL, "--t=" + nines],
+                 ["describe", "--job", nines],
+                 ["describe", "--type", "A", "--rank", "2", "--output", nines]):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err) < 300, err[:300]
@@ -370,6 +372,14 @@ def test_usage_errors_exit_two(capsys):
     assert main(["describe", *A2_FULL, "--t=5"]) == 2
     assert capsys.readouterr().err.endswith(
         "error: ambiguous option: --t=5 could match --type, --theta\n")
+    # so does a path of up to 255 characters, the longest file name most systems allow
+    assert main(["describe", "--job", "/nonexistent/x.json"]) == 2
+    assert capsys.readouterr().err.endswith("error: cannot read job file: [Errno 2] "
+                                            "No such file or directory: '/nonexistent/x.json'\n")
+    long_name = "/nonexistent/" + "x" * 242
+    assert main(["describe", *A2_FULL, "--output", long_name]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: cannot write {long_name}: No such file or directory\n")
 
 
 def test_job_conflicts_exit_two(capsys, tmp_path):

@@ -132,3 +132,23 @@ def test_weyl_dim_weakly_increasing_in_each_coordinate(weight, bump):
     base = weyl_dim(rs, weight)
     bigger = (weight[0] + bump, weight[1] + (1 - bump))
     assert weyl_dim(rs, bigger) >= base
+
+
+def _a7_sums_of_two_fundamental_weights():
+    for i, j in itertools.combinations_with_replacement(range(7), 2):
+        weight = [0] * 7
+        weight[i] += 1
+        weight[j] += 1
+        yield tuple(weight)
+
+
+@pytest.mark.parametrize("rank, weights", [
+    (4, list(itertools.product(range(3), repeat=4))),
+    (5, list(itertools.product(range(2), repeat=5))),
+    (7, list(_a7_sums_of_two_fundamental_weights())),
+], ids=["A4-coords-le-2", "A5-coords-le-1", "A7-two-fundamental"])
+def test_gt_count_matches_weyl_dim_past_rank_three(rank, weights):
+    """141 weights in all; the largest dimension is 59049, of A4's (2, 2, 2, 2)."""
+    rs = build_root_system("A", rank)
+    for weight in weights:
+        assert gt_count(rs, weight) == weyl_dim(rs, weight), weight

@@ -1,6 +1,5 @@
 """Flow trajectories: closed forms, frozen values, bound chains, rejections."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -128,7 +127,7 @@ def test_bounds_report_frozen_values_at_quarter_time():
     # one verdict per bound; within is their conjunction
     assert rep.verdicts() == dict.fromkeys(
         ("scalar_bounds", "ricci_bounds", "volume_sandwich"), True)
-    off = dataclasses.replace(rep, R=rep.R_upper + 1)
+    off = rep._replace(R=rep.R_upper + 1)
     assert off.verdicts() == {
         "scalar_bounds": False, "ricci_bounds": True, "volume_sandwich": True}
     assert not off.within
@@ -290,3 +289,58 @@ def test_kernel_data_follow_the_groups():
     assert [(num, a, m) for num, a, m in fs.troots] == [
         (5 * row[0], flag.fano[0] * row[0], m) for row, m in flag.troots]
     assert sorted(m for _, _, m in fs.troots) == [1, 56]
+
+
+def reference_bounds_report(fs, t):
+    """Every bounds_report field by the formula, evaluated afresh: the reference."""
+    t = Fraction(t)
+    n, gap = fs.flag.n, fs.T - t
+    r = scalar_curvature(fs, t)
+    m = weyl_dim(fs.flag.rs, fs.flag.delta_p)
+    return {
+        "R": r, "R_lower": 1 / gap, "R_upper": n / gap,
+        "ricci_norm_sq": ricci_norm_sq(fs, t),
+        "ricci_norm_sq_lower": r * r / n, "ricci_norm_sq_upper": r * r,
+        "vol_coeff": volume(fs, t),
+        "vol_coeff_lower": (1 - t / fs.T) ** n * volume(fs, 0),
+        "vol_coeff_upper": (1 - t / fs.T) * volume(fs, 0),
+        "lambda1_lower": 2 / max(2 * x / l for x, l in zip(fs.b0, fs.flag.fano)),
+        "lambda1_upper": 2 * r * m / (m - 1),
+        "r_upper_attained": r == n / gap,
+        "rm_bound": RM_BOUND_SYMBOLIC,
+    }
+
+
+@pytest.mark.parametrize("family, rank, theta", [
+    ("A", 2, ()), ("G", 2, ()), ("B", 3, (1,)), ("E", 8, ()), ("A", 20, ()), ("D", 16, ()),
+], ids=["A2", "G2", "B3-{1}", "E8-borel", "A20-borel", "D16-borel"])
+def test_bounds_report_matches_the_formulas(family, rank, theta):
+    rng = random.Random(11)
+    flag = build_flag(build_root_system(family, rank), theta)
+    for _ in range(3):
+        b = tuple(Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in flag.complement)
+        fs = make_flow(flag, b)
+        assert ricci_lower_constant(fs) == max(2 * x / l for x, l in zip(b, flag.fano))
+        for t in (0, fs.T / 7, fs.T / 2, fs.T * 9 / 10):
+            rep = bounds_report(fs, t)
+            assert rep._asdict() == reference_bounds_report(fs, t), (b, t)
+
+
+def test_times_are_read_alike_and_checked_against_zero_and_T():
+    fs = a2_full_flow()  # T = 1/2
+    for evaluate in (scalar_curvature, ricci_norm_sq, bounds_report, class_at):
+        with pytest.raises(DomainError, match="singular time"):
+            evaluate(fs, fs.T)
+        with pytest.raises(DomainError, match="singular time"):
+            evaluate(fs, "1/2")
+        with pytest.raises(DomainError, match="negative time t = -1/7"):
+            evaluate(fs, Fraction(-1, 7))
+        with pytest.raises(DomainError, match="negative time t = -1$"):
+            evaluate(fs, -1)
+        assert evaluate(fs, 0) == evaluate(fs, "0") == evaluate(fs, Fraction(0))
+        assert evaluate(fs, "1/3") == evaluate(fs, Fraction(1, 3))
+    assert volume(fs, fs.T) == volume(fs, "1/2") == 0
+    with pytest.raises(DomainError, match=r"t = 51/100, T = 1/2"):
+        volume(fs, "51/100")
+    with pytest.raises(DomainError, match="negative time"):
+        volume(fs, Fraction(-1, 10 ** 9))

@@ -5,6 +5,7 @@ corrupted value and assert that the identity checks catch it, so the checks
 are known to compare two independently derived quantities.
 """
 
+import bisect
 import dataclasses
 import random
 from fractions import Fraction
@@ -73,7 +74,7 @@ def test_trajectory_bounds_report_each_failed_verdict(monkeypatch):
 
     honest = oracle.bounds_report
     monkeypatch.setattr(oracle, "bounds_report",
-                        lambda fs, t: dataclasses.replace(honest(fs, t), vol_coeff=Fraction(0)))
+                        lambda fs, t: honest(fs, t)._replace(vol_coeff=Fraction(0)))
     outcomes = check_trajectory_bounds(a2_flow())
     assert not outcomes["volume_sandwich"].passed
     ce = outcomes["volume_sandwich"].counterexample
@@ -315,5 +316,44 @@ def test_suite_is_deterministic_for_a_seed():
 
 def test_different_seeds_draw_different_classes():
     cfg = SuiteConfig(types=(("A", 2),), classes_per_flag=3, seed=1)
-    other = dataclasses.replace(cfg, seed=2)
+    other = cfg._replace(seed=2)
     assert run_suite(cfg).exact_ok and run_suite(other).exact_ok
+
+
+def bisection_nef(flag, coeffs, max_q=64):
+    """brute_nef by bisection of p for each q, then the least p/q: the reference."""
+    coeffs = tuple(Fraction(c) for c in coeffs)
+    p_cap = max_q * max(flag.fano)
+    sides = [(c.numerator, l * c.denominator) for c, l in zip(coeffs, flag.fano)]
+    best = None
+    for q in range(1, max_q + 1):
+
+        def fits(p):
+            return all(p * c >= q * l for c, l in sides)
+
+        if not fits(p_cap):
+            continue
+        candidate = Fraction(bisect.bisect_left(range(p_cap + 1), True, key=fits), q)
+        if best is None or candidate < best:
+            best = candidate
+    certified = all(
+        c.numerator <= max_q and l * c.denominator <= p_cap
+        for c, l in zip(coeffs, flag.fano))
+    return best if certified else None
+
+
+def test_brute_nef_matches_a_bisection_reference():
+    """Every flag of the suite's types, with random divisors: numerators past MAX_Q and
+    denominators past p_cap / l_alpha both occur, so both inconclusive cases do."""
+    rng = random.Random(8)
+    outcomes = {"value": 0, "none": 0}
+    for family, rank in SuiteConfig().types:
+        for theta in _proper_subsets(rank):
+            flag = build_flag(build_root_system(family, rank), theta)
+            for top in (10, 64, 80, 150):
+                d = tuple(Fraction(rng.randint(1, top), rng.randint(1, 160 - top))
+                          for _ in flag.complement)
+                expected = bisection_nef(flag, d)
+                assert brute_nef(flag, d) == expected, (family, rank, theta, d)
+                outcomes["none" if expected is None else "value"] += 1
+    assert min(outcomes.values()) > 20, outcomes

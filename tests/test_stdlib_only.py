@@ -2,6 +2,9 @@
 every request's path that only one option needs."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -49,3 +52,26 @@ def test_start_up_leaves_out_the_oracle_and_invariants():
         loaded = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()}
         assert "flagflow.flow" in loaded, err[-300:]
         assert not {"flagflow.oracle", "flagflow.invariants"} & loaded
+
+
+def test_flow_solution_is_the_only_dataclass_and_typing_stays_out():
+    # each dataclass costs about 1.5 ms to create on every start-up, and importing typing
+    # 5-25 ms; records read by field are namedtuples or plain classes instead
+    sources = sorted(Path(flagflow.__file__).parent.glob("*.py"))
+    found = []
+    for path in sources:
+        module = importlib.import_module(f"flagflow.{path.stem}".removesuffix(".__init__"))
+        found += [name for name, value in vars(module).items() if inspect.isclass(value)
+                  and value.__module__ == module.__name__ and dataclasses.is_dataclass(value)]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "typing" not in [name.split(".")[0] for name in names], path.name
+    assert found == ["FlowSolution"], (
+        "only FlowSolution may be a dataclass, because the gate's negative controls "
+        "(tests/test_acceptance.py) corrupt a trajectory with dataclasses.replace; "
+        f"found {found}")
