@@ -14,8 +14,8 @@ _EXPORTS = {
     "errors": ("BudgetExceeded", "DomainError"),
     "flow": ("RM_BOUND_SYMBOLIC", "BoundsReport", "FlowSolution", "KahlerClass",
              "bounds_report", "class_at", "diameter_bound", "flow_of_divisor",
-             "lambda1_bounds", "make_flow", "ricci_lower_constant", "ricci_norm_sq",
-             "scalar_curvature", "volume"),
+             "lambda1_bounds", "make_flow", "ricci_norm_sq", "scalar_curvature",
+             "volume"),
     "invariants": ("BorelBounds", "InvariantReport", "LctReport", "degree",
                    "invariants_of", "lct_lower", "nef_value", "script_C", "script_T"),
     "oracle": ("CheckOutcome", "SuiteConfig", "SuiteReport", "brute_nef",

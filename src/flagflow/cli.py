@@ -6,7 +6,7 @@ trajectory can be written as CSV for plotting (12 significant digits per
 cell) with an exact-value JSON sidecar next to it.
 
 Exit codes: 0 success, 1 failed verification suite, 2 usage error or
-closed stdout, 3 domain rejection, 4 internal assertion failure.
+closed or unwritable stdout, 3 domain rejection, 4 internal assertion failure.
 """
 
 from __future__ import annotations
@@ -20,14 +20,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import BudgetExceeded, DomainError, brief
-from .flow import (
-    bounds_report,
-    class_at,
-    diameter_bound,
-    make_flow,
-    ricci_lower_constant,
-)
+from .errors import BudgetExceeded, DomainError, all_digits, brief
+from .flow import bounds_report, class_at, diameter_bound, make_flow
 from .parabolic import ParabolicFlag, build_flag, canonical_divisor, require_length
 from .rootsys import build_root_system
 
@@ -62,14 +56,11 @@ class UsageError(Exception):
 
 def parse_rational(text) -> Fraction:
     """A rational of any length; read_descriptor has refused the over-long ones."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
-        return Fraction(str(text).strip())
+        with all_digits():
+            return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational number: {brief(text)!r}") from exc
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,7 +195,7 @@ def _read_job(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh, parse_int=_json_int)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         if isinstance(exc, OSError) and exc.filename is not None:
             exc.filename = _shown_path(path)  # str(exc) repeats it
         raise UsageError(f"cannot read job file: {exc}") from exc
@@ -335,12 +326,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _emit(doc: dict, output: str | None) -> None:
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # exact values are printed in full, at any length
-    try:
+    with all_digits():
         text = json.dumps(doc, indent=2, default=_exact)
-    finally:
-        sys.set_int_max_str_digits(limit)
     if output:
         _write(output, text + "\n")
     else:
@@ -400,7 +387,6 @@ def cmd_flow(flag, b: tuple[Fraction, ...], time: Fraction, count: int | None) -
     fs = make_flow(flag, b)
     times = [time] if count is None else [
         fs.T * time * j / max(count - 1, 1) for j in range(count)]
-    c_const = ricci_lower_constant(fs)
     try:
         diam_value, diam_radicand = diameter_bound(fs)
     except OverflowError:
@@ -412,8 +398,8 @@ def cmd_flow(flag, b: tuple[Fraction, ...], time: Fraction, count: int | None) -
         "n": flag.n,
         "T": fs.T,
         "einstein": fs.einstein,
-        "ricci_lower_constant": c_const,
-        "ricci_lower_bound": 1 / c_const,
+        "ricci_lower_constant": fs.C,
+        "ricci_lower_bound": 1 / fs.C,
         "diameter_upper": {"radicand": diam_radicand, "value": diam_value},
         "samples": [_flow_sample(fs, t) for t in times],
     }
@@ -480,10 +466,13 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except BrokenPipeError:
-        # the reader of stdout is gone: point stdout at devnull so that the
-        # flush at interpreter exit cannot fail a second time
+    except OSError as exc:
+        # a job file or --output reports its own errors, so stdout failed: its
+        # reader is gone (said by exit code alone) or a write failed. Point it at
+        # devnull so that the flush at interpreter exit cannot fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)

@@ -3,8 +3,13 @@
 DomainError marks input rejected on mathematical grounds; the CLI maps it
 to exit code 3. BudgetExceeded guards input sizes and exhaustive enumerations.
 Internal consistency failures raise plain AssertionError (CLI exit 4).
-Messages show a value through brief(), which never echoes a long one.
+Messages show a value through brief(), which never echoes a long one;
+all_digits() lifts the int-string digit limit where exact values are
+read or written in full.
 """
+
+import contextlib
+import sys
 
 
 class DomainError(ValueError):
@@ -26,3 +31,15 @@ def brief(value) -> str:
         return value if len(value) <= 40 else f"{value[:20]}... ({len(value)} characters)"
     bits = sum(x.bit_length() for x in value.as_integer_ratio())
     return str(value) if bits <= 128 else f"<{bits}-bit number>"
+
+
+@contextlib.contextmanager
+def all_digits():
+    """Lift Python's 4300-digit limit on int-string conversion for a block, so
+    that exact values are read and written in full, at any length."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -19,30 +19,33 @@ Curvature evaluators reject t = T (blowup); volume allows it (the limit
 is the collapsed value, 0 whenever some P_beta(T) = 0, which always
 happens because the minimizing alpha is itself a complementary root).
 
-P_beta and a_beta depend on beta only through its T-root, the pairing row
-restricted to the complement (ParabolicFlag.troots). Over the T-root groups
-g with multiplicities m_g the same quantities read
+make_flow pairs each complementary root once with den * lambda_0, den the
+common denominator of the class, and once with delta_P: P_beta(0) = N_beta / den
+and a_beta, with integers N_beta. The kernel's groups g are the distinct pairs
+(N_beta, a_beta), with multiplicities m_g, in order of first occurrence. Roots
+with one T-root (the pairing row restricted to the complement; Alekseevsky-
+Perelomov) share a pair, so groups never outnumber T-roots; a class
+proportional to the Fano class groups by a_beta alone, and has fewer. Over
+the groups the same quantities read
 
     R = sum_g m_g a_g / P_g,   |Ric|^2 = sum_g m_g (a_g / P_g)^2,
     Vol = (2 pi)^n * prod_g P_g^(m_g) / prod_beta <rho, h_beta^v>,
 
 which is the one kernel behind scalar_curvature, ricci_norm_sq, volume and
-bounds_report. make_flow clears the common denominator den of the class,
-so P_g(0) = N_g / den with integers N_g, and at t = u/v every P_g(t) is
-M_g / L over the one integer L = lcm(den, v). When the entries of the
-class share one denominator, den is that denominator and the N_g are about
-as long as the numerators. Sums and products fold the integers left to
-right, unreduced, over a running denominator and reduce once, at the end.
+bounds_report. At t = u/v every P_g(t) is M_g / L over the one integer
+L = lcm(den, v). When the entries of the class share one denominator, den
+is that denominator and the N_g are about as long as the numerators. Sums
+and products fold the integers left to right, unreduced, over a running
+denominator and reduce once, at the end.
 
-p_const, p_slope and a stay per root, computed from the pairing rows
-without the grouping: the oracle's per-root reference reads them.
+p_const, p_slope and a stay per root, from the same pairings: the oracle's
+per-root reference reads them.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,8 +75,8 @@ class FlowSolution:
     einstein: bool                  # b proportional to the Fano coefficients
     v0: Fraction                    # volume coefficient at t = 0
     den: int                        # common denominator of b
-    # (N_g, a_g, m_g) per T-root group of flag.troots, with P_g(0) = N_g / den
-    troots: tuple[tuple[int, int, int], ...]
+    # (N_g, a_g, m_g) per distinct pair (den * P_beta(0), a_beta), with P_g(0) = N_g / den
+    groups: tuple[tuple[int, int, int], ...]
 
 
 class BoundsReport(namedtuple("BoundsReport", (
@@ -115,25 +118,18 @@ def make_flow(flag: ParabolicFlag, b: KahlerClass) -> FlowSolution:
     if any(x <= 0 for x in b):
         raise DomainError("initial class not Kahler: all b_alpha must be positive")
     den = math.lcm(*(x.denominator for x in b))
-    scaled = [x.numerator * (den // x.denominator) for x in b]  # den * b, integers
-    lam0 = [0] * flag.rs.rank
-    for i, x in zip(flag.complement, scaled):
-        lam0[i - 1] = x
-    p_const = tuple(Fraction(pairing(flag.rs, lam0, idx), den) for idx in flag.comp_pos_roots)
+    lam0 = [0] * flag.rs.rank  # den * lambda_0, integers
+    for i, x in zip(flag.complement, b):
+        lam0[i - 1] = x.numerator * (den // x.denominator)
+    nums = [pairing(flag.rs, lam0, idx) for idx in flag.comp_pos_roots]  # den * P_beta(0)
     a = tuple(pairing(flag.rs, flag.delta_p, idx) for idx in flag.comp_pos_roots)
     assert all(x > 0 for x in a), "delta_P does not pair positively with a complementary root"
-    # delta_P restricted to the complement is the Fano vector
-    troots = tuple(
-        (_dot(row, scaled), _dot(row, flag.fano), m) for row, m in flag.troots)
+    groups = tuple((*pair, m) for pair, m in Counter(zip(nums, a)).items())
     ratios = {x / l for x, l in zip(b, flag.fano)}
-    v0 = _volume(flag, troots, den, [num for num, _, _ in troots])
-    return FlowSolution(flag, b, min(ratios), 2 * max(ratios), p_const, tuple(-x for x in a),
-                        a, len(ratios) == 1, v0, den, troots)
-
-
-def _dot(row: tuple[int, ...], coeffs) -> int:
-    """<sum_alpha c_alpha w_alpha, h_beta^v> for beta with T-root row."""
-    return sum(map(operator.mul, row, coeffs))
+    v0 = _volume(flag, groups, den, [num for num, _, _ in groups])
+    return FlowSolution(flag, b, min(ratios), 2 * max(ratios),
+                        tuple(Fraction(x, den) for x in nums), tuple(-x for x in a),
+                        a, len(ratios) == 1, v0, den, groups)
 
 
 def _check_time(fs: FlowSolution, t, allow_T: bool = False) -> Fraction:
@@ -155,37 +151,37 @@ def class_at(fs: FlowSolution, t) -> KahlerClass:
 
 
 def _numerators(fs: FlowSolution, t: Fraction) -> tuple[int, list[int]]:
-    """(L, [M_g]) with P_g(t) = M_g / L over the T-root groups, L = lcm(den, den(t))."""
+    """(L, [M_g]) with P_g(t) = M_g / L over the groups, L = lcm(den, den(t))."""
     L = math.lcm(fs.den, t.denominator)
     scale, shift = L // fs.den, t.numerator * (L // t.denominator)
-    return L, [num * scale - a * shift for num, a, _ in fs.troots]
+    return L, [num * scale - a * shift for num, a, _ in fs.groups]
 
 
-def _rate_sum(troots, L: int, ms: list[int], k: int) -> Fraction:
+def _rate_sum(groups, L: int, ms: list[int], k: int) -> Fraction:
     """sum_g m_g * (a_g / P_g)^k for k = 1 (R) or k = 2 (|Ric|^2)."""
     num, den = 0, 1
-    for (_, a, m), x in zip(troots, ms):
+    for (_, a, m), x in zip(groups, ms):
         num, den = num * x ** k + m * a ** k * den, den * x ** k
     return Fraction(num * L ** k, den)
 
 
-def _volume(flag: ParabolicFlag, troots, L: int, ms: list[int]) -> Fraction:
+def _volume(flag: ParabolicFlag, groups, L: int, ms: list[int]) -> Fraction:
     """prod_g P_g^(m_g) / prod_beta <rho, h_beta^v>."""
-    prod = math.prod(x ** m for (_, _, m), x in zip(troots, ms))
+    prod = math.prod(x ** m for (_, _, m), x in zip(groups, ms))
     return Fraction(prod, L ** flag.n * flag.rho_product)
 
 
 def scalar_curvature(fs: FlowSolution, t) -> Fraction:
-    return _rate_sum(fs.troots, *_numerators(fs, _check_time(fs, t)), 1)
+    return _rate_sum(fs.groups, *_numerators(fs, _check_time(fs, t)), 1)
 
 
 def ricci_norm_sq(fs: FlowSolution, t) -> Fraction:
-    return _rate_sum(fs.troots, *_numerators(fs, _check_time(fs, t)), 2)
+    return _rate_sum(fs.groups, *_numerators(fs, _check_time(fs, t)), 2)
 
 
 def volume(fs: FlowSolution, t) -> Fraction:
     """The coefficient of Vol(t) = coeff * (2 pi)^n; t = T is allowed (continuous limit)."""
-    return _volume(fs.flag, fs.troots, *_numerators(fs, _check_time(fs, t, allow_T=True)))
+    return _volume(fs.flag, fs.groups, *_numerators(fs, _check_time(fs, t, allow_T=True)))
 
 
 def bounds_report(fs: FlowSolution, t) -> BoundsReport:
@@ -198,7 +194,7 @@ def bounds_report(fs: FlowSolution, t) -> BoundsReport:
     n = fs.flag.n
     gap = fs.T - t
     L, ms = _numerators(fs, t)
-    r = _rate_sum(fs.troots, L, ms, 1)
+    r = _rate_sum(fs.groups, L, ms, 1)
     r_sq = r ** 2  # a power of a reduced fraction needs no gcd, unlike r * r
     shrink = gap / fs.T  # 1 - t/T
     r_upper = n / gap
@@ -206,21 +202,16 @@ def bounds_report(fs: FlowSolution, t) -> BoundsReport:
         R=r,
         R_lower=1 / gap,
         R_upper=r_upper,
-        ricci_norm_sq=_rate_sum(fs.troots, L, ms, 2),
+        ricci_norm_sq=_rate_sum(fs.groups, L, ms, 2),
         ricci_norm_sq_lower=r_sq / n,
         ricci_norm_sq_upper=r_sq,
-        vol_coeff=_volume(fs.flag, fs.troots, L, ms),
+        vol_coeff=_volume(fs.flag, fs.groups, L, ms),
         vol_coeff_lower=shrink ** n * fs.v0,
         vol_coeff_upper=shrink * fs.v0,
         lambda1_lower=2 / fs.C,
         lambda1_upper=r * fs.flag.eigen_ratio,
         r_upper_attained=(r == r_upper),  # reduced fractions compare without a gcd
     )
-
-
-def ricci_lower_constant(fs: FlowSolution) -> Fraction:
-    """C(omega_0) = max_alpha 2 b_alpha / l_alpha; Ric >= 1/C for all t in [0,T)."""
-    return fs.C
 
 
 def diameter_bound(fs: FlowSolution) -> tuple[float, Fraction]:
@@ -230,7 +221,7 @@ def diameter_bound(fs: FlowSolution) -> tuple[float, Fraction]:
     before it becomes a float, so only a value past the float range raises
     OverflowError; k = 0 whenever the radicand itself fits.
     """
-    radicand = (2 * fs.flag.n - 1) * ricci_lower_constant(fs)
+    radicand = (2 * fs.flag.n - 1) * fs.C
     bits = radicand.numerator.bit_length() - radicand.denominator.bit_length()
     k = max(0, (bits - 1000) // 2)
     return math.ldexp(math.pi * math.sqrt(radicand / 4 ** k), k), radicand

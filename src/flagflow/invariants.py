@@ -106,11 +106,7 @@ def lct_lower(flag: ParabolicFlag, coeffs: DivisorClass, m: int) -> LctReport:
 
 def invariants_of(flag: ParabolicFlag, coeffs: DivisorClass) -> InvariantReport:
     require_ample(flag, coeffs)
-    coeffs = tuple(Fraction(c) for c in coeffs)
     fs = make_flow(flag, coeffs)
-    tau = nef_value(flag, coeffs)
-    t_script = 1 / tau
-    c_script = script_C(flag, coeffs)
     dim_v = None
     lambda1_upper = None
     if is_integral(coeffs):
@@ -121,18 +117,18 @@ def invariants_of(flag: ParabolicFlag, coeffs: DivisorClass) -> InvariantReport:
     if not flag.theta:
         r0 = scalar_curvature(fs, 0)
         borel = BorelBounds(
-            seshadri_upper=2 * t_script,
-            gromov_width_upper=2 * t_script,
-            kahler_radius_upper=f"pi*{2 * t_script}",
+            seshadri_upper=2 * fs.T,
+            gromov_width_upper=2 * fs.T,
+            kahler_radius_upper=f"pi*{2 * fs.T}",
             sympl_radius_upper=Fraction(2 * flag.n) / r0,
         )
     return InvariantReport(
-        tau=tau,
-        T_script=t_script,
-        C_script=c_script,
+        tau=1 / fs.T,
+        T_script=fs.T,
+        C_script=fs.C,
         degree=_degree(fs),
         dimV=dim_v,
-        lambda1_lower=2 / c_script,
+        lambda1_lower=2 / fs.C,
         lambda1_upper=lambda1_upper,
         borel=borel,
     )

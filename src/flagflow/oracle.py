@@ -26,6 +26,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .dimcount import gt_count, weyl_dim
+from .errors import all_digits
 from .flow import (
     FlowSolution,
     bounds_report,
@@ -105,12 +106,15 @@ def _plain(value):
 
 
 def _counterexample(flag: ParabolicFlag, **fields) -> dict:
-    """A failing instance: its flag, then the fields in order, rationals as "p/q"."""
+    """A failing instance: its flag, then the fields in order, rationals as "p/q"
+    in full, at any length."""
+    with all_digits():
+        fields = {name: _plain(value) for name, value in fields.items()}
     return {
         "family": flag.rs.family,
         "rank": flag.rs.rank,
         "theta": list(flag.theta),
-        **{name: _plain(value) for name, value in fields.items()},
+        **fields,
     }
 
 

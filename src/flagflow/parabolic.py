@@ -9,13 +9,14 @@ everywhere (class vectors, divisor vectors, JSON arrays).
 A complementary root pairs with a class, and with delta_P, only through its
 coroot row restricted to the complement: its T-root (Alekseevsky-Perelomov,
 Invariant Kahler-Einstein metrics on compact homogeneous spaces, 1986). The
-flag groups its complementary roots by T-root once, for the flow kernel.
+flow kernel groups the roots by their pair (P_beta(0), a_beta) of these
+pairings, so there are at most as many groups as T-roots, and fewer for a
+class proportional to the Fano class.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
@@ -66,18 +67,6 @@ class ParabolicFlag:
         """2M/(M-1) for M = delta_dim: lambda_1 <= R times this (bounds_report)."""
         m = self.delta_dim
         return Fraction(2 * m, m - 1)
-
-    @cached_property
-    def troots(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(T-root, multiplicity) pairs, in order of first occurrence in comp_pos_roots.
-
-        The T-root of beta is its pairing row <w_alpha, h_beta^v> for alpha in
-        the complement; the multiplicities add up to n.
-        """
-        rows = self.rs.pairing_rows
-        counts = Counter(
-            tuple(rows[idx][a - 1] for a in self.complement) for idx in self.comp_pos_roots)
-        return tuple(counts.items())
 
     @cached_property
     def rho_product(self) -> int:

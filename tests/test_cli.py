@@ -1,6 +1,7 @@
 """Command-line interface: document shapes, frozen values, exit codes."""
 
 import csv
+import errno
 import io
 import json
 import math
@@ -173,6 +174,22 @@ def test_closed_stdout_exits_two_without_traceback(argv, unbuffered):
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["describe", *A2_FULL], ["--help"], ["--version"]],
+                         ids=["describe", "help", "version"])
+def test_full_stdout_exits_two_with_one_line(argv):
+    """A failed write to stdout is not a failed check (exit 1) and prints no traceback."""
+    src = str(Path(flagflow.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "flagflow.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        b"error: cannot write stdout: " + os.strerror(errno.ENOSPC).encode() + b"\n")
 
 
 def test_flow_single_time_frozen_values(capsys):
@@ -409,6 +426,15 @@ def test_job_conflicts_exit_two(capsys, tmp_path):
         job.write_text(json.dumps(bad))
         assert main(["flow", "--job", str(job)]) == 2, bad
         assert field in capsys.readouterr().err, bad
+
+
+def test_deeply_nested_job_file_exits_two(capsys, tmp_path):
+    job = tmp_path / "job.json"
+    job.write_text("[" * 100_000)
+    assert main(["describe", "--job", str(job)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err) < 300, err[:300]
+    assert "cannot read job file: maximum recursion depth exceeded" in err
 
 
 def test_domain_errors_exit_three(capsys, tmp_path):

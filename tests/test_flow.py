@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from flagflow import (
     lambda1_bounds,
     make_flow,
     pairing,
-    ricci_lower_constant,
     ricci_norm_sq,
     rho,
     rho_pairing,
@@ -141,7 +141,7 @@ def test_einstein_report_attains_upper_scalar_bound():
 
 def test_ricci_lower_constant_and_diameter():
     fs = a2_full_flow()
-    assert ricci_lower_constant(fs) == Fraction(2)
+    assert fs.C == Fraction(2)
     value, radicand = diameter_bound(fs)
     assert radicand == Fraction(10)
     assert value == pytest.approx(3.141592653589793 * 10 ** 0.5)
@@ -262,11 +262,21 @@ def test_grouped_kernel_matches_the_per_root_sums(shape, make_class):
     assert fs.v0 == math.prod(fs.p_const) / rho_prod
 
 
-def test_troot_group_counts():
-    def groups(family, rank, complement):
-        rs = build_root_system(family, rank)
-        return build_flag(rs, set(range(1, rank + 1)) - set(complement)).troots
+def troots(flag):
+    """(T-root, multiplicity) pairs: the pairing rows restricted to the complement."""
+    rows = flag.rs.pairing_rows
+    return list(Counter(
+        tuple(rows[idx][a - 1] for a in flag.complement) for idx in flag.comp_pos_roots).items())
 
+
+def reference_groups(fs):
+    """The distinct (den * P_beta(0), a_beta) pairs, counted in order of first occurrence."""
+    pairs = Counter((fs.den * c, a) for c, a in zip(fs.p_const, fs.a))
+    return [(num, a, m) for (num, a), m in pairs.items()]
+
+
+def test_troot_group_counts():
+    rng = random.Random(5)
     for family, rank, complement, n, count in [
         ("E", 8, {8}, 57, 2), ("E", 8, {1, 8}, 90, 6), ("A", 20, {5, 15}, 140, 3),
         ("D", 16, {16}, 120, 1),
@@ -275,10 +285,27 @@ def test_troot_group_counts():
         ("E", 8, set(range(1, 9)), 120, 120), ("A", 20, set(range(1, 21)), 210, 210),
         ("D", 16, set(range(1, 17)), 240, 240),
     ]:
-        troots = groups(family, rank, complement)
-        assert len(troots) == count, (family, rank, complement)
-        assert sum(m for _, m in troots) == n
-        assert len({row for row, _ in troots}) == count
+        rs = build_root_system(family, rank)
+        flag = build_flag(rs, set(range(1, rank + 1)) - complement)
+        rows = troots(flag)
+        assert len(rows) == count, (family, rank, complement)
+        assert sum(m for _, m in rows) == n
+        for b in (flag.fano, tuple(Fraction(rng.randint(1, 99), rng.randint(1, 99))
+                                   for _ in complement)):
+            fs = make_flow(flag, b)
+            assert list(fs.groups) == reference_groups(fs), (family, rank, complement, b)
+            assert len(fs.groups) <= count
+            assert sum(m for _, _, m in fs.groups) == n
+
+
+def test_fano_class_groups_by_a_alone():
+    """Borel E8, A20 and D16: a_beta = 2 ht(h_beta^v) takes 29, 20 and 29 values."""
+    for family, rank, count in [("E", 8, 29), ("A", 20, 20), ("D", 16, 29)]:
+        flag = build_flag(build_root_system(family, rank), ())
+        fs = make_flow(flag, flag.fano)
+        assert len(fs.groups) == len(set(fs.a)) == count, family
+        assert list(fs.groups) == reference_groups(fs)
+        assert all(2 * num == fs.den * flag.fano[0] * a for num, a, _ in fs.groups)
 
 
 def test_kernel_data_follow_the_groups():
@@ -286,9 +313,9 @@ def test_kernel_data_follow_the_groups():
     fs = make_flow(flag, (Fraction(5, 6),))
     # P_g(0) = N_g / den, a_g and m_g for the two T-roots of E8 / P_{8}
     assert fs.den == 6
-    assert [(num, a, m) for num, a, m in fs.troots] == [
-        (5 * row[0], flag.fano[0] * row[0], m) for row, m in flag.troots]
-    assert sorted(m for _, _, m in fs.troots) == [1, 56]
+    assert [(num, a, m) for num, a, m in fs.groups] == [
+        (5 * row[0], flag.fano[0] * row[0], m) for row, m in troots(flag)]
+    assert sorted(m for _, _, m in fs.groups) == [1, 56]
 
 
 def reference_bounds_report(fs, t):
@@ -320,7 +347,7 @@ def test_bounds_report_matches_the_formulas(family, rank, theta):
     for _ in range(3):
         b = tuple(Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in flag.complement)
         fs = make_flow(flag, b)
-        assert ricci_lower_constant(fs) == max(2 * x / l for x, l in zip(b, flag.fano))
+        assert fs.C == max(2 * x / l for x, l in zip(b, flag.fano))
         for t in (0, fs.T / 7, fs.T / 2, fs.T * 9 / 10):
             rep = bounds_report(fs, t)
             assert rep._asdict() == reference_bounds_report(fs, t), (b, t)

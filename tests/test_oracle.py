@@ -29,6 +29,7 @@ from flagflow import (
     run_suite,
     scalar_curvature,
 )
+from flagflow.errors import all_digits
 from flagflow.oracle import _counterexample, _proper_subsets
 
 BOUND_NAMES = (
@@ -95,6 +96,25 @@ def test_corrupted_consumption_rates_are_caught():
     assert exact.counterexample["check"] == "ricci_identity_exact"
 
 
+def test_counterexamples_past_4300_digits_are_reported_in_full():
+    """A failure with values past Python's int-string limit is reported, not raised."""
+    rng = random.Random(3)
+    flag = build_flag(build_root_system("E", 8), ())
+    bad = corrupt_rates(make_flow(flag, tuple(rng.getrandbits(300) | 1 for _ in range(8))))
+    out = check_scalar_volume_identity(bad)
+    exact, _ = check_ricci_identity(bad)
+    assert out.passed is False and exact.passed is False
+    ce, ce_exact = out.counterexample, exact.counterexample
+    assert max(len(ce["R"]), len(ce_exact["ricci_norm_sq"])) > 4300
+    with all_digits():
+        t = Fraction(ce["t"])
+        ps = [c + s * t for c, s in zip(bad.p_const, bad.p_slope)]
+        assert Fraction(ce["R"]) == sum((a / p for a, p in zip(bad.a, ps)), Fraction(0))
+        assert Fraction(ce["kernel_R"]) == scalar_curvature(bad, t)
+        t = Fraction(ce_exact["t"])
+        assert Fraction(ce_exact["kernel_ricci_norm_sq"]) == ricci_norm_sq(bad, t)
+
+
 def test_corrupted_slopes_are_caught():
     bad = corrupt_slopes(a2_flow())
     assert not check_scalar_volume_identity(bad).passed
@@ -109,9 +129,9 @@ def test_corrupted_kernel_data_are_caught():
     flag = build_flag(build_root_system("B", 3), (2,))
     fs = make_flow(flag, (Fraction(1, 2), Fraction(3)))
     assert check_scalar_volume_identity(fs).passed and check_ricci_identity(fs)[0].passed
-    num, a, m = fs.troots[0]
+    num, a, m = fs.groups[0]
     for bad in [(num, a, m + 1), (num, a + 1, m)]:
-        corrupt = dataclasses.replace(fs, troots=(bad,) + fs.troots[1:])
+        corrupt = dataclasses.replace(fs, groups=(bad,) + fs.groups[1:])
         out = check_scalar_volume_identity(corrupt)
         assert not out.passed
         assert out.counterexample["residual"] == "0"  # the per-root identity still holds
@@ -170,8 +190,8 @@ def corrupt_constants(fs):
 
 
 def corrupt_groups(fs, da, dm):
-    num, a, m = fs.troots[0]
-    return dataclasses.replace(fs, troots=((num, a + da, m + dm),) + fs.troots[1:])
+    num, a, m = fs.groups[0]
+    return dataclasses.replace(fs, groups=((num, a + da, m + dm),) + fs.groups[1:])
 
 
 CORRUPTIONS = {
