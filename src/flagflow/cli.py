@@ -7,11 +7,13 @@ cell) with an exact-value JSON sidecar next to it.
 
 Exit codes: 0 success, 1 failed verification suite, 2 usage error or
 closed or unwritable stdout, 3 domain rejection, 4 internal assertion failure.
+An error message that stderr cannot take is dropped; the exit code stays.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -54,6 +56,17 @@ class UsageError(Exception):
     """Malformed or contradictory request; the CLI exits 2."""
 
 
+def _warn(text: str) -> None:
+    """Write a message to stderr. A failed write is dropped, so that the exit code
+    still says what went wrong; stderr is then pointed at devnull, so that the
+    flush at interpreter exit cannot fail a second time."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def parse_rational(text) -> Fraction:
     """A rational of any length; read_descriptor has refused the over-long ones."""
     try:
@@ -65,15 +78,19 @@ def parse_rational(text) -> Fraction:
 
 class _Parser(argparse.ArgumentParser):
     """argparse without its guard on writes: a failed write or flush of
-    --help or --version raises, so main sees a closed stdout. An offending
-    value that an error message repeats is shown through brief()."""
+    --help or --version raises, so main sees a closed stdout, and messages
+    to stderr go through _warn. An offending value that an error message
+    repeats is shown through brief()."""
 
     def error(self, message):
         super().error(re.sub(_ECHOED, lambda m: m[1] + brief(m[2]) + (m[3] or ""), message))
 
     def _print_message(self, message, file=None):
-        if message:
-            file = file or sys.stderr
+        if not message:
+            return
+        if file is None or file is sys.stderr:
+            _warn(message)
+        else:
             file.write(message)
             file.flush()
 
@@ -464,7 +481,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}\n")
         return 3
     except OSError as exc:
         # a job file or --output reports its own errors, so stdout failed: its
@@ -472,14 +489,23 @@ def main(argv=None) -> int:
         # devnull so that the flush at interpreter exit cannot fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+            _warn(f"error: cannot write stdout: {exc.strerror}\n")
         return 2
     except AssertionError as exc:
-        print(f"internal assertion failed: {exc}", file=sys.stderr)
+        _warn(f"internal assertion failed: {exc}\n")
         return 4
 
 
 def console_entry() -> None:
+    """The process entry of `flagflow` and `python -m flagflow.cli`.
+
+    The objects made at start-up (modules, classes, the parser) live until
+    exit. Frozen, the collector skips them, and interpreter exit neither walks
+    nor tears them down; objects made by the request are still collected.
+    Library imports and in-process calls of main() leave the collector as
+    they found it.
+    """
+    gc.freeze()
     sys.exit(main())
 
 

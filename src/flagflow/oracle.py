@@ -9,7 +9,9 @@ fully serialized counterexample, never raised.
 The two flow identities are checked root by root from the stored p_const,
 p_slope and a, never from the kernel's T-root groups, and in integers: at
 each time every P_beta is put over one denominator, so each comparison is one
-integer equality. Fractions are built only for a counterexample.
+integer equality. The bound chains are decided the same way, each bound as one
+comparison of integer products, and bounds_report is compared with them once
+per instance. Fractions are built only for a counterexample.
 
 brute_nef takes, for each denominator q of its grid, the least numerator p
 directly, as the largest ceiling of q * l_alpha / d_alpha.
@@ -28,6 +30,7 @@ from itertools import combinations, product
 from .dimcount import gt_count, weyl_dim
 from .errors import all_digits
 from .flow import (
+    BoundsReport,
     FlowSolution,
     bounds_report,
     make_flow,
@@ -225,25 +228,77 @@ def check_ricci_identity(fs: FlowSolution) -> tuple[CheckOutcome, CheckOutcome]:
 
 
 def check_trajectory_bounds(fs: FlowSolution) -> dict[str, CheckOutcome]:
-    """The verdicts of bounds_report, plus monotone R, Einstein closure and collapse at T."""
+    """The verdicts of bounds_report, plus monotone R, Einstein closure and collapse
+    at T, decided in integers at SAMPLES_PER_INSTANCE times.
+
+    At t = T k / parts, with P_beta = M_beta / L (_cleared) root by root, the sums
+    X / D = sum a_beta / M_beta and Y / D = sum a_beta^2 / M_beta^2 over
+    D = prod M_beta^2 give R = L X / D and |Ric|^2 = L^2 Y / D, and Q = prod M_beta
+    gives the volume coefficient Q / (L^n prod_beta <rho, h_beta^v>). With
+    T - t = g / h and 1 - t/T = s / parts, s = parts - k, each bound is a comparison
+    of integer products (D, h, L > 0):
+
+        1 <= R (T - t) <= n                  h D <= L X g <= n h D
+        R^2 / n <= |Ric|^2 <= R^2            Y D <= X^2 <= n Y D
+        (s/parts)^n vol(0) <= vol(t)         s^n Q_0 L^n <= parts^n Q L_0^n
+        vol(t) <= (s/parts) vol(0)           parts Q L_0^n <= s Q_0 L^n
+
+    and so are R(t) > R(t') for the time t' before, and R (T - t) = n on an
+    Einstein flow. At the last sampled time bounds_report's R, |Ric|^2, volume
+    coefficient and verdicts must equal these, so the flow kernel stays under
+    check. The collapse at T reads volume(fs, T). Fractions are built only for
+    a counterexample.
+    """
+    n = fs.flag.n
+    parts = SAMPLES_PER_INSTANCE
     outcomes: dict[str, CheckOutcome] = {}
 
     def fail(name: str, t, **extra) -> None:
         outcomes.setdefault(name, CheckOutcome(False, _counterexample(
             fs.flag, b=fs.b0, check=name, t=t, **extra)))
 
-    prev_r = None
-    for t in (_sample(fs.T, j, SAMPLES_PER_INSTANCE) for j in range(SAMPLES_PER_INSTANCE)):
-        rep = bounds_report(fs, t)
-        r = rep.R
-        for name, holds in rep.verdicts().items():
-            if not holds:
-                fail(name, t, **rep._asdict())
-        if prev_r is not None and not r > prev_r:
-            fail("monotone_scalar", t, R=r, previous=prev_r)
-        if fs.einstein and not rep.r_upper_attained:
-            fail("einstein_closure", t, R_times_gap=r * (fs.T - t), n=fs.flag.n)
-        prev_r = r
+    h = fs.T.denominator * parts
+    prev = None  # (L X, D) at the time before
+    for k, (t, L, ms) in enumerate(_cleared(fs, parts)):
+        x, y, d = _common_sums([(a * m, a * a, m * m) for a, m in zip(fs.a, ms)])
+        q, ln = math.prod(ms), L ** n
+        if k == 0:
+            q0, l0n = q, ln
+        s = parts - k
+        lx = L * x
+        rg, hd = lx * fs.T.numerator * s, h * d  # R (T - t) = L X g / (h D)
+        verdicts = {
+            "scalar_bounds": hd <= rg <= n * hd,
+            "ricci_bounds": y * d <= x * x <= n * y * d,
+            "volume_sandwich": (s ** n * q0 * ln <= parts ** n * q * l0n
+                                and parts * q * l0n <= s * q0 * ln),
+        }
+        if not all(verdicts.values()):
+            rho_product = fs.flag.rho_product
+            rep = BoundsReport.from_values(
+                fs, t, Fraction(lx, d), Fraction(L * L * y, d),
+                Fraction(q, ln * rho_product), Fraction(q0, l0n * rho_product))
+            for name, holds in verdicts.items():
+                if not holds:
+                    fail(name, t, **rep._asdict())
+        if prev is not None and not lx * prev[1] > prev[0] * d:
+            fail("monotone_scalar", t, R=Fraction(lx, d), previous=Fraction(*prev))
+        if fs.einstein and rg != n * hd:
+            fail("einstein_closure", t, R_times_gap=Fraction(rg, hd), n=n)
+        if k == parts - 1:
+            rep = bounds_report(fs, t)
+            kernel = rep.verdicts()
+            agree = {
+                "scalar_bounds": rep.R.numerator * d == rep.R.denominator * lx,
+                "ricci_bounds": rep.ricci_norm_sq.numerator * d
+                == rep.ricci_norm_sq.denominator * L * L * y,
+                "volume_sandwich": rep.vol_coeff.numerator * ln * fs.flag.rho_product
+                == rep.vol_coeff.denominator * q,
+            }
+            for name, same in agree.items():
+                if not (same and kernel[name] == verdicts[name]):
+                    fail(name, t, **rep._asdict())
+        prev = lx, d
 
     vol_at_T = volume(fs, fs.T)
     if vol_at_T != 0:

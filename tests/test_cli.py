@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import gc
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import flagflow
+from flagflow import cli
 from flagflow.cli import main
 
 P2 = ["--type", "A", "--rank", "2", "--theta", "2"]
@@ -50,6 +52,24 @@ def count_calls(monkeypatch, home, name):
     return calls
 
 
+def process_env() -> dict:
+    """The environment of a fresh process that imports this flagflow."""
+    src = str(Path(flagflow.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def without_wall_time(out: str) -> str:
+    """check's stdout without its one run-dependent line."""
+    out, count = re.subn(r'^ *"wall_time_s": .*\n', "", out, flags=re.M)
+    assert count == 1
+    return out
+
+
+def golden_cases() -> list[dict]:
+    return json.loads(GOLDEN.read_text()) + json.loads(CHECK_GOLDEN.read_text())
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -72,7 +92,7 @@ def test_describe_projective_plane(capsys):
 
 def test_stdout_bytes_match_golden(capsys, tmp_path):
     """Exact stdout of fixed requests: key order, indentation, the input echo."""
-    for case in json.loads(GOLDEN.read_text()) + json.loads(CHECK_GOLDEN.read_text()):
+    for case in golden_cases():
         argv = case["argv"]
         if "job" in case:
             job = tmp_path / "job.json"
@@ -81,9 +101,22 @@ def test_stdout_bytes_match_golden(capsys, tmp_path):
         assert main(argv) == 0, argv
         out = capsys.readouterr().out
         if argv[0] == "check":
-            out, count = re.subn(r'^ *"wall_time_s": .*\n', "", out, flags=re.M)
-            assert count == 1
+            out = without_wall_time(out)
         assert out == case["stdout"], argv
+
+
+@pytest.mark.parametrize("prefix", [
+    "describe --type E --rank 8", "flow --type D --rank 16", "invariants --type A --rank 20",
+    "check --seed 0",
+])
+def test_process_stdout_bytes_match_golden(prefix):
+    """The largest golden requests and check, through the process entry that users run."""
+    [case] = [c for c in golden_cases() if " ".join(c["argv"]).startswith(prefix)]
+    proc = subprocess.run([sys.executable, "-m", "flagflow.cli", *case["argv"]],
+                          capture_output=True, text=True, env=process_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    out = without_wall_time(proc.stdout) if case["argv"][0] == "check" else proc.stdout
+    assert out == case["stdout"]
 
 
 def test_describe_writes_output_file(capsys, tmp_path):
@@ -158,9 +191,7 @@ def test_each_rational_is_parsed_once(capsys, monkeypatch):
     ["describe", *A2_FULL], ["--version"], ["--help"], ["describe", "--help"],
 ], ids=["describe", "version", "help", "describe-help"])
 def test_closed_stdout_exits_two_without_traceback(argv, unbuffered):
-    src = str(Path(flagflow.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = process_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -181,15 +212,52 @@ def test_closed_stdout_exits_two_without_traceback(argv, unbuffered):
                          ids=["describe", "help", "version"])
 def test_full_stdout_exits_two_with_one_line(argv):
     """A failed write to stdout is not a failed check (exit 1) and prints no traceback."""
-    src = str(Path(flagflow.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = process_env()
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "flagflow.cli", *argv],
                               stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr == (
         b"error: cannot write stdout: " + os.strerror(errno.ENOSPC).encode() + b"\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, code", [
+    (["describe", "--type", "Q"], 2), (["describe", *A2_FULL, "--theta", "1,2"], 3),
+], ids=["usage", "domain"])
+def test_full_stderr_keeps_the_exit_code(argv, code):
+    """An error message that cannot be written leaves the exit code saying what failed."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "flagflow.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=full, env=process_env(),
+                              timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+
+
+def test_only_the_process_entry_freezes(capsys, monkeypatch):
+    code = "import flagflow.cli, gc; print(gc.get_freeze_count(), gc.isenabled())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=process_env(), timeout=60, check=True)
+    assert proc.stdout == "0 True\n"
+
+    enabled = gc.isenabled()
+    try:
+        for state in (gc.enable, gc.disable):
+            state()
+            before = gc.get_freeze_count(), gc.isenabled()
+            assert main(["describe", *P1]) == 0
+            assert (gc.get_freeze_count(), gc.isenabled()) == before
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.get_freeze_count()) or 0)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.console_entry()
+    finally:
+        gc.unfreeze()
+    assert exc.value.code == 0 and seen[0] > 0
 
 
 def test_flow_single_time_frozen_values(capsys):
@@ -522,9 +590,7 @@ def test_domain_errors_exit_three(capsys, tmp_path):
 
 def test_decimal_exponents_are_priced_before_they_are_read(tmp_path):
     # Fraction builds 10^exp for "1e<exp>": at 10^8 that would run for minutes
-    src = str(Path(flagflow.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = process_env()
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"lie_family": "A", "rank": 2, "class": ["1e1_000_000_00", 1]}))
     for argv, field, value in [

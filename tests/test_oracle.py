@@ -8,6 +8,7 @@ are known to compare two independently derived quantities.
 import bisect
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from flagflow import (
     CheckOutcome,
     SuiteConfig,
+    bounds_report,
     brute_nef,
     build_flag,
     build_root_system,
@@ -28,6 +30,7 @@ from flagflow import (
     ricci_norm_sq,
     run_suite,
     scalar_curvature,
+    volume,
 )
 from flagflow.errors import all_digits
 from flagflow.oracle import _counterexample, _proper_subsets
@@ -81,6 +84,132 @@ def test_trajectory_bounds_report_each_failed_verdict(monkeypatch):
     ce = outcomes["volume_sandwich"].counterexample
     assert ce["check"] == "volume_sandwich" and ce["vol_coeff"] == "0" and ce["b"] == ["1", "2"]
     assert outcomes["scalar_bounds"].passed and outcomes["ricci_bounds"].passed
+
+
+def reference_trajectory_bounds(fs):
+    """check_trajectory_bounds as a loop over bounds_report at each of the ten sampled
+    times: the reference."""
+    outcomes = {}
+
+    def fail(name, t, **extra):
+        outcomes.setdefault(name, CheckOutcome(False, _counterexample(
+            fs.flag, b=fs.b0, check=name, t=t, **extra)))
+
+    prev_r = None
+    for t in (fs.T * j / 10 for j in range(10)):
+        rep = bounds_report(fs, t)
+        r = rep.R
+        for name, holds in rep.verdicts().items():
+            if not holds:
+                fail(name, t, **rep._asdict())
+        if prev_r is not None and not r > prev_r:
+            fail("monotone_scalar", t, R=r, previous=prev_r)
+        if fs.einstein and not rep.r_upper_attained:
+            fail("einstein_closure", t, R_times_gap=r * (fs.T - t), n=fs.flag.n)
+        prev_r = r
+    vol_at_T = volume(fs, fs.T)
+    if vol_at_T != 0:
+        fail("volume_zero_at_T", fs.T, vol=vol_at_T)
+    for name in BOUND_NAMES + ("einstein_closure",) * fs.einstein:
+        outcomes.setdefault(name, CheckOutcome(True))
+    return outcomes
+
+
+def regrouped(fs, a, p_const):
+    """fs with these per-root rates and constants, slopes -a, and the kernel's groups and
+    volume at 0 to match, so that the per-root sums and the kernel agree on the changed
+    flow."""
+    nums = [int(c * fs.den) for c in p_const]
+    groups = tuple((*pair, m) for pair, m in Counter(zip(nums, a)).items())
+    fs = dataclasses.replace(fs, a=tuple(a), p_slope=tuple(-x for x in a),
+                             p_const=tuple(p_const), groups=groups)
+    return dataclasses.replace(fs, v0=volume(fs, 0))
+
+
+def suite_flows(seed, monkeypatch):
+    """The trajectories that run_suite(SuiteConfig(seed=seed)) checks, in order."""
+    import flagflow.oracle as oracle
+
+    flows = []
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "check_trajectory_bounds", lambda fs: flows.append(fs) or {})
+        run_suite(SuiteConfig(seed=seed))
+    assert len(flows) == 244
+    return flows
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_integer_bound_chain_matches_the_report_loop(seed, monkeypatch):
+    """Every instance of the suite: the same outcomes as bounds_report at every
+    sampled time."""
+    for fs in suite_flows(seed, monkeypatch):
+        assert check_trajectory_bounds(fs) == reference_trajectory_bounds(fs), fs.flag.theta
+
+
+# changes that the kernel and the per-root sums both see; between them they break
+# each side of every bound but monotone_scalar, which holds on any flow whose slopes
+# are -a (dR/dt = |Ric|^2)
+CONSISTENT = {
+    "T lowered": lambda fs: dataclasses.replace(fs, T=fs.T * 2 / 3),
+    "T raised": lambda fs: dataclasses.replace(fs, T=fs.T * 1001 / 1000),
+    "root doubled": lambda fs: regrouped(fs, fs.a + fs.a[:1], fs.p_const + fs.p_const[:1]),
+    "rate negated": lambda fs: regrouped(fs, (-fs.a[0],) + fs.a[1:], fs.p_const),
+}
+
+
+def test_integer_bound_chain_matches_the_report_loop_on_changed_flows(monkeypatch):
+    """The suite's instances changed consistently: the same failures and
+    counterexamples as bounds_report at every sampled time."""
+    failed = Counter()
+    for honest in suite_flows(0, monkeypatch):
+        for change, corrupt in CONSISTENT.items():
+            fs = corrupt(honest)
+            outcomes = check_trajectory_bounds(fs)
+            assert outcomes == reference_trajectory_bounds(fs), (change, fs.flag.theta)
+            failed.update(name for name, out in outcomes.items() if not out.passed)
+    assert set(failed) == {*BOUND_NAMES, "einstein_closure"} - {"monotone_scalar"}, failed
+
+
+def shifted_report(**shift):
+    """A corruption that adds shift to bounds_report's fields, as the oracle sees them."""
+
+    def corrupt(fs, monkeypatch):
+        import flagflow.oracle as oracle
+
+        honest = oracle.bounds_report
+
+        def report(fs, t):
+            rep = honest(fs, t)
+            return rep._replace(**{k: getattr(rep, k) + v for k, v in shift.items()})
+
+        monkeypatch.setattr(oracle, "bounds_report", report)
+        return fs
+
+    return corrupt
+
+
+# bound name -> a corruption of the Einstein flow on A2 Borel that it must catch; the
+# report's verdict is wrong on honest values, or its value differs from the oracle's
+TARGETED = {
+    "scalar_bounds": shifted_report(R_lower=Fraction(1000)),
+    "ricci_bounds": shifted_report(ricci_norm_sq=Fraction(1, 7)),
+    "volume_sandwich": lambda fs, mp: dataclasses.replace(
+        fs, p_slope=(fs.p_slope[0] + 1,) + fs.p_slope[1:]),
+    "monotone_scalar": lambda fs, mp: dataclasses.replace(fs, p_slope=(0,) * len(fs.a)),
+    "einstein_closure": lambda fs, mp: corrupt_rates(fs),
+    "volume_zero_at_T": lambda fs, mp: dataclasses.replace(fs, T=fs.T / 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TARGETED))
+def test_each_bound_fails_under_its_corruption(name, monkeypatch):
+    ke = a2_flow((Fraction(2), Fraction(2)))
+    outcomes = check_trajectory_bounds(TARGETED[name](ke, monkeypatch))
+    assert set(outcomes) == set(BOUND_NAMES) | {"einstein_closure"}
+    assert not outcomes[name].passed
+    assert outcomes[name].counterexample["check"] == name
+    if name in ("scalar_bounds", "ricci_bounds"):  # the report's other values are honest
+        assert [k for k, v in outcomes.items() if not v.passed] == [name]
 
 
 def test_corrupted_consumption_rates_are_caught():
