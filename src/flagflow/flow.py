@@ -20,13 +20,13 @@ is the collapsed value, 0 whenever some P_beta(T) = 0, which always
 happens because the minimizing alpha is itself a complementary root).
 
 make_flow pairs each complementary root once with den * lambda_0, den the
-common denominator of the class, and once with delta_P: P_beta(0) = N_beta / den
-and a_beta, with integers N_beta. The kernel's groups g are the distinct pairs
-(N_beta, a_beta), with multiplicities m_g, in order of first occurrence. Roots
-with one T-root (the pairing row restricted to the complement; Alekseevsky-
-Perelomov) share a pair, so groups never outnumber T-roots; a class
-proportional to the Fano class groups by a_beta alone, and has fewer. Over
-the groups the same quantities read
+common denominator of the class: P_beta(0) = N_beta / den, with integers N_beta.
+a_beta comes from the flag: build_flag pairs delta_P with each root once. The
+kernel's groups g are the distinct pairs (N_beta, a_beta), with multiplicities
+m_g, in order of first occurrence. Roots with one T-root (the pairing row
+restricted to the complement; Alekseevsky-Perelomov) share a pair, so groups
+never outnumber T-roots; a class proportional to the Fano class groups by
+a_beta alone, and has fewer. Over the groups the same quantities read
 
     R = sum_g m_g a_g / P_g,   |Ric|^2 = sum_g m_g (a_g / P_g)^2,
     Vol = (2 pi)^n * prod_g P_g^(m_g) / prod_beta <rho, h_beta^v>,
@@ -38,8 +38,8 @@ is that denominator and the N_g are about as long as the numerators. Sums
 and products fold the integers left to right, unreduced, over a running
 denominator and reduce once, at the end.
 
-p_const, p_slope and a stay per root, from the same pairings: the oracle's
-per-root reference reads them.
+p_const, p_slope and a stay per root: the oracle's per-root reference reads
+them.
 """
 
 from __future__ import annotations
@@ -147,14 +147,12 @@ def make_flow(flag: ParabolicFlag, b: KahlerClass) -> FlowSolution:
     for i, x in zip(flag.complement, b):
         lam0[i - 1] = x.numerator * (den // x.denominator)
     nums = [pairing(flag.rs, lam0, idx) for idx in flag.comp_pos_roots]  # den * P_beta(0)
-    a = tuple(pairing(flag.rs, flag.delta_p, idx) for idx in flag.comp_pos_roots)
-    assert all(x > 0 for x in a), "delta_P does not pair positively with a complementary root"
-    groups = tuple((*pair, m) for pair, m in Counter(zip(nums, a)).items())
+    groups = tuple((*pair, m) for pair, m in Counter(zip(nums, flag.a)).items())
     ratios = {x / l for x, l in zip(b, flag.fano)}
     v0 = _volume(flag, groups, den, [num for num, _, _ in groups])
     return FlowSolution(flag, b, min(ratios), 2 * max(ratios),
-                        tuple(Fraction(x, den) for x in nums), tuple(-x for x in a),
-                        a, len(ratios) == 1, v0, den, groups)
+                        tuple(Fraction(x, den) for x in nums), tuple(-x for x in flag.a),
+                        flag.a, len(ratios) == 1, v0, den, groups)
 
 
 def _check_time(fs: FlowSolution, t, allow_T: bool = False) -> Fraction:
@@ -213,7 +211,7 @@ def bounds_report(fs: FlowSolution, t) -> BoundsReport:
     """Evaluate every bound along the flow exactly at t.
 
     The P_g(t) are evaluated once; vol(0) is fs.v0, C(omega_0) is fs.C and
-    2M/(M-1), M = dim V(delta_P), is computed once per flag.
+    2M/(M-1), M = dim V(delta_P), is the flag's eigen_ratio.
     """
     t = _check_time(fs, t)
     L, ms = _numerators(fs, t)

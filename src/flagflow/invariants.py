@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from .dimcount import weyl_dim
-from .errors import DomainError, brief
+from .errors import DomainError, all_digits, brief
 from .flow import FlowSolution, make_flow, scalar_curvature
 from .parabolic import (
     DivisorClass,
@@ -115,12 +115,13 @@ def invariants_of(flag: ParabolicFlag, coeffs: DivisorClass) -> InvariantReport:
         lambda1_upper = Fraction(2 * flag.n * dim_v, dim_v - 1)
     borel = None
     if not flag.theta:
-        r0 = scalar_curvature(fs, 0)
+        with all_digits():  # 2T(D) may pass 4300 digits
+            radius = f"pi*{2 * fs.T}"
         borel = BorelBounds(
             seshadri_upper=2 * fs.T,
             gromov_width_upper=2 * fs.T,
-            kahler_radius_upper=f"pi*{2 * fs.T}",
-            sympl_radius_upper=Fraction(2 * flag.n) / r0,
+            kahler_radius_upper=radius,
+            sympl_radius_upper=Fraction(2 * flag.n) / scalar_curvature(fs, 0),
         )
     return InvariantReport(
         tau=1 / fs.T,

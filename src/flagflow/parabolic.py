@@ -12,66 +12,46 @@ Invariant Kahler-Einstein metrics on compact homogeneous spaces, 1986). The
 flow kernel groups the roots by their pair (P_beta(0), a_beta) of these
 pairings, so there are at most as many groups as T-roots, and fewer for a
 class proportional to the Fano class.
+
+The eigenvalue bound reads M = dim V(delta_P) (Borel-Weil). delta_P lies in the
+span of the complement's fundamental weights, so it pairs to zero with every
+Levi coroot, and each Levi factor <delta_P + rho, h^v> / <rho, h^v> of Weyl's
+product is 1. Over the complementary roots alone,
+
+    M = prod_beta (a_beta + <rho, h_beta^v>) / prod_beta <rho, h_beta^v>,
+    a_beta = <delta_P, h_beta^v>,
+
+and build_flag computes these constants once per flag, in integers.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 
-from .dimcount import weyl_dim
 from .errors import DomainError, brief
-from .rootsys import RootSystem, Weight, fund_coords, rho_pairing
+from .rootsys import RootSystem, Weight, fund_coords, pairing, rho_pairing
 
 # coefficients of sum d_alpha * D_alpha, aligned with ParabolicFlag.complement
 DivisorClass = tuple[Fraction, ...]
 
 
-class ParabolicFlag:
-    """Data of X_P: complementary roots, delta_P, Fano coefficients.
-
-    A plain class, not a tuple, so that the cached properties have an instance
-    dict to live in. Nothing changes a flag once built; equal fields, equal flags.
-    """
-
-    def __init__(self, rs, theta, complement, comp_pos_roots, delta_p, fano, n) -> None:
-        self.rs: RootSystem = rs
-        self.theta: tuple[int, ...] = theta  # 1-based simple-root indices, ascending
-        self.complement: tuple[int, ...] = complement  # Sigma \ Theta, ascending
-        self.comp_pos_roots: tuple[int, ...] = comp_pos_roots  # indices into rs.positive_roots
-        self.delta_p: tuple[int, ...] = delta_p  # anticanonical weight, fundamental-weight coords
-        self.fano: tuple[int, ...] = fano  # l_alpha = <delta_P, h_alpha^v>, per complement
-        self.n: int = n  # complex dimension = #comp_pos_roots
-
-    def _fields(self) -> tuple:
-        return (self.rs, self.theta, self.complement, self.comp_pos_roots, self.delta_p,
-                self.fano, self.n)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ParabolicFlag) and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    @cached_property
-    def delta_dim(self) -> int:
-        """M = dim V(delta_P), computed on first use and kept on this flag."""
-        m = weyl_dim(self.rs, self.delta_p)
-        # delta_P pairs positively with every complementary root, so V(delta_P) is not trivial
-        assert m > 1, "dim V(delta_P) = 1 leaves the eigenvalue bound undefined"
-        return m
-
-    @cached_property
-    def eigen_ratio(self) -> Fraction:
-        """2M/(M-1) for M = delta_dim: lambda_1 <= R times this (bounds_report)."""
-        m = self.delta_dim
-        return Fraction(2 * m, m - 1)
-
-    @cached_property
-    def rho_product(self) -> int:
-        """prod_beta <rho, h_beta^v> over the complementary roots."""
-        return math.prod(rho_pairing(self.rs, idx) for idx in self.comp_pos_roots)
+class ParabolicFlag(namedtuple("ParabolicFlag", (
+        "rs",               # RootSystem
+        "theta",            # 1-based simple-root indices, ascending
+        "complement",       # Sigma \ Theta, ascending
+        "comp_pos_roots",   # indices into rs.positive_roots
+        "delta_p",          # anticanonical weight, fundamental-weight coords
+        "fano",             # l_alpha = <delta_P, h_alpha^v>, per complement
+        "n",                # complex dimension = #comp_pos_roots
+        "a",                # a_beta = <delta_P, h_beta^v>, per comp_pos_roots
+        "rho_product",      # prod_beta <rho, h_beta^v> over comp_pos_roots
+        "delta_dim",        # M = dim V(delta_P)
+        "eigen_ratio"))):   # 2M/(M-1): lambda_1 <= R times this (bounds_report)
+    """Data of X_P: complementary roots, delta_P, Fano coefficients and the
+    constants that every flow on X_P reads."""
+    __slots__ = ()
 
 
 def build_flag(rs: RootSystem, theta) -> ParabolicFlag:
@@ -101,8 +81,16 @@ def build_flag(rs: RootSystem, theta) -> ParabolicFlag:
     assert all(delta_p[i - 1] == 0 for i in th), \
         "delta_P has support on Theta"
     fano = tuple(delta_p[a - 1] for a in complement)
-    assert all(la > 0 for la in fano), "Fano coefficient not positive"
-    return ParabolicFlag(rs, th, complement, comp, delta_p, fano, len(comp))
+    a = tuple(pairing(rs, delta_p, idx) for idx in comp)
+    # fano is a at the simple roots of the complement, so this covers it too
+    assert all(x > 0 for x in a), "delta_P does not pair positively with a complementary root"
+    rhos = [rho_pairing(rs, idx) for idx in comp]
+    rho_product = math.prod(rhos)
+    m, rest = divmod(math.prod(x + r for x, r in zip(a, rhos)), rho_product)
+    # every a_beta > 0, so V(delta_P) is not trivial
+    assert rest == 0 and m > 1, "Weyl product over the complementary roots is not an integer > 1"
+    return ParabolicFlag(rs, th, complement, comp, delta_p, fano, len(comp), a, rho_product,
+                         m, Fraction(2 * m, m - 1))
 
 
 def require_length(flag: ParabolicFlag, coeffs) -> None:

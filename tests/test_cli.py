@@ -17,8 +17,10 @@ from pathlib import Path
 import pytest
 
 import flagflow
+import flagflow.dimcount
 from flagflow import cli
 from flagflow.cli import main
+from flagflow.errors import all_digits
 
 P2 = ["--type", "A", "--rank", "2", "--theta", "2"]
 A2_FULL = ["--type", "A", "--rank", "2"]
@@ -164,10 +166,13 @@ def test_flow_diameter_past_float_range(capsys):
 
 
 def test_flow_computes_dim_v_delta_once(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, flagflow.dimcount, "weyl_dim")
+    # build_flag computes dim V(delta_P) from the complementary roots, so flow calls
+    # no weyl_dim; the twenty samples read it off the one flag
+    flags = count_calls(monkeypatch, flagflow.parabolic, "build_flag")
+    weyl = count_calls(monkeypatch, flagflow.dimcount, "weyl_dim")
     doc = run_json(capsys, ["flow", *A2_FULL, "--class", "1,2", "--samples", "20"])
     assert len(doc["result"]["samples"]) == 20
-    assert len(calls) == 1
+    assert (len(flags), len(weyl)) == (1, 0)
 
 
 def test_invariants_builds_one_flow(capsys, monkeypatch):
@@ -361,6 +366,17 @@ def test_invariants_borel_case_with_lct(capsys):
     assert borel["sympl_radius_upper"] == "1"
     assert borel["kahler_radius_upper"] == "pi*1"
     assert res["lct"] == {"m": 1, "bound": "1", "klt": False, "lc": True}
+
+
+@pytest.mark.parametrize("rank,divisor", [(1, "N"), (1, "1/N"), (2, "N,N")],
+                         ids=["P1-N", "P1-1/N", "A2-N,N"])
+def test_invariants_prints_a_kahler_radius_of_any_length(capsys, rank, divisor):
+    # Fano coefficients 2, so 2T(D) is the least entry: 5000 digits, past str()'s limit
+    d = divisor.replace("N", "9" * 5000)
+    with all_digits():
+        doc = run_json(capsys, ["invariants", "--type", "A", "--rank", str(rank), "--divisor", d])
+        two_t = str(Fraction(d.split(",")[0]))
+    assert doc["result"]["borel_only_bounds"]["kahler_radius_upper"] == "pi*" + two_t
 
 
 def test_invariants_non_integral_has_null_dim(capsys):

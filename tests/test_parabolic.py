@@ -1,6 +1,7 @@
 """Parabolic quotient data: complement roots, index coefficients, ample test."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,15 @@ from flagflow import (
     build_root_system,
     canonical_divisor,
     char_of_divisor,
+    gt_count,
     is_ample,
     is_integral,
+    pairing,
     require_ample,
+    rho_pairing,
+    weyl_dim,
 )
+from flagflow.oracle import DEFAULT_TYPES
 from flagflow.rootsys import _coroots
 
 TYPES_RANK_LE_6 = [
@@ -132,6 +138,31 @@ def test_dimension_counts_roots_outside_the_levi():
         )
         levi_count = len(_coroots(sub))
         assert flag.n == len(flag.rs.positive_roots) - levi_count
+
+
+def constant_flags(family, rank):
+    """Every proper Theta up to rank 7; past it, the Borel and the odd Theta."""
+    rs = build_root_system(family, rank)
+    thetas = proper_theta_subsets(rank) if rank <= 7 else [(), range(1, rank + 1, 2)]
+    return [build_flag(rs, theta) for theta in thetas]
+
+
+@pytest.mark.parametrize("family,rank", [
+    *DEFAULT_TYPES, ("F", 4), ("E", 6), ("E", 7), ("E", 8), ("A", 20), ("D", 16), ("A", 70),
+])
+def test_flag_constants_match_independent_references(family, rank):
+    # each constant of build_flag against the formula that defines it: pairings with
+    # delta_P and rho one root at a time, Weyl's product over every positive root and,
+    # in type A, a count of Gelfand-Tsetlin patterns
+    for flag in constant_flags(family, rank):
+        rs, roots = flag.rs, flag.comp_pos_roots
+        assert flag.a == tuple(pairing(rs, flag.delta_p, idx) for idx in roots)
+        assert flag.rho_product == math.prod(rho_pairing(rs, idx) for idx in roots)
+        m = weyl_dim(rs, flag.delta_p)
+        assert flag.delta_dim == m
+        assert flag.eigen_ratio == Fraction(2 * m, m - 1)
+        if family == "A" and rank <= 4:
+            assert flag.delta_dim == gt_count(rs, flag.delta_p)
 
 
 def test_ample_and_integral_predicates():

@@ -43,20 +43,22 @@ def test_cli_import_leaves_out_csv():
 
 
 def test_start_up_leaves_out_the_oracle_and_invariants():
-    # only check runs the oracle and only invariants runs invariants; -X importtime
-    # names every module a fresh process imports, at start-up or later
-    for args in (["-c", "import flagflow.cli"],
-                 ["-m", "flagflow.cli", "describe", "--type", "A", "--rank", "2"]):
+    # describe and flow load neither the oracle, invariants nor dimcount: the flag
+    # computes dim V(delta_P) itself. -X importtime names every module a fresh process
+    # imports, at start-up or later
+    a2 = ["--type", "A", "--rank", "2"]
+    for args in (["-c", "import flagflow.cli"], ["-m", "flagflow.cli", "describe", *a2],
+                 ["-m", "flagflow.cli", "flow", *a2, "--class", "1,2"]):
         err = subprocess.run([sys.executable, "-X", "importtime", *args], env=fresh_env(),
                              capture_output=True, text=True, timeout=60, check=True).stderr
         loaded = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()}
         assert "flagflow.flow" in loaded, err[-300:]
-        assert not {"flagflow.oracle", "flagflow.invariants"} & loaded
+        assert not {"flagflow.oracle", "flagflow.invariants", "flagflow.dimcount"} & loaded
 
 
 def test_flow_solution_is_the_only_dataclass_and_typing_stays_out():
     # each dataclass costs about 1.5 ms to create on every start-up, and importing typing
-    # 5-25 ms; records read by field are namedtuples or plain classes instead
+    # 5-25 ms; records read by field are namedtuples instead
     sources = sorted(Path(flagflow.__file__).parent.glob("*.py"))
     found = []
     for path in sources:
