@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import BudgetExceeded, DomainError, all_digits, brief
+from .errors import BudgetExceeded, DomainError, all_digits, brief, plain
 from .flow import bounds_report, class_at, diameter_bound, make_flow
 from .parabolic import ParabolicFlag, build_flag, canonical_divisor, require_length
 from .rootsys import build_root_system
@@ -327,13 +327,6 @@ def read_descriptor(args) -> tuple[dict, ParabolicFlag, tuple | None, Fraction |
     return desc, flag, b, time
 
 
-def _exact(value) -> str:
-    """json.dumps hook: an exact rational becomes "p/q"."""
-    if isinstance(value, Fraction):
-        return str(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def _write(path: str, text: str) -> None:
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -342,20 +335,15 @@ def _write(path: str, text: str) -> None:
         raise UsageError(f"cannot write {_shown_path(path)}: {exc.strerror}") from exc
 
 
-def _emit(doc: dict, output: str | None) -> None:
-    with all_digits():
-        text = json.dumps(doc, indent=2, default=_exact)
-    if output:
-        _write(output, text + "\n")
-    else:
-        print(text, flush=True)  # a closed stdout then raises inside main
-
-
 def _decimal(name: str, x: Fraction) -> str:
+    """x to 12 significant digits, refused past the float range at either end."""
     try:
-        return format(float(x), ".12g")
+        value = float(x)
+        if x and not value:
+            raise OverflowError
     except OverflowError:
         raise DomainError(f"CSV column {name} is out of float range") from None
+    return format(value, ".12g")
 
 
 def _csv_text(samples: list[dict]) -> str:
@@ -421,7 +409,7 @@ def cmd_flow(flag, b: tuple[Fraction, ...], time: Fraction, count: int | None) -
         "samples": [_flow_sample(fs, t) for t in times],
     }
     if fs.einstein:
-        result["R_times_T_minus_t"] = str(flag.n)
+        result["R_times_T_minus_t"] = Fraction(flag.n)
     return result
 
 
@@ -445,29 +433,33 @@ def cmd_invariants(flag, d: tuple[Fraction, ...], lct_m: int | None) -> dict:
 
 
 def _dispatch(args) -> int:
+    """Run the command; write its one document, {"input", "result", "version"}."""
+    code, output = 0, args.output
     if args.command == "check":
         from .oracle import SuiteConfig, run_suite  # only check loads the suite
         report = run_suite(SuiteConfig(seed=args.seed))
-        doc = {"input": {"seed": args.seed}, "result": report.as_dict(),
-               "version": __version__}
-        _emit(doc, args.output)
-        return 0 if report.exact_ok else 1
-
-    desc, flag, b, time = read_descriptor(args)
-    if args.command == "describe":
-        result = cmd_describe(flag)
-    elif args.command == "flow":
-        count = None if "t" in desc else desc.get("samples", DEFAULT_SAMPLES)
-        result = cmd_flow(flag, b, time, count)
+        desc, result = {"seed": args.seed}, report.as_dict()
+        code = 0 if report.exact_ok else 1
     else:
-        result = cmd_invariants(flag, b, args.lct_m)
-    doc = {"input": desc, "result": result, "version": __version__}
+        desc, flag, b, time = read_descriptor(args)
+        if args.command == "describe":
+            result = cmd_describe(flag)
+        elif args.command == "flow":
+            count = None if "t" in desc else desc.get("samples", DEFAULT_SAMPLES)
+            result = cmd_flow(flag, b, time, count)
+        else:
+            result = cmd_invariants(flag, b, args.lct_m)
     if args.format == "csv":
-        _write(args.output, _csv_text(result["samples"]))
-        _emit(doc, args.output + ".json")
+        _write(output, _csv_text(result["samples"]))
+        output += ".json"
+    with all_digits():
+        text = json.dumps({"input": desc, "result": result, "version": __version__},
+                          indent=2, default=plain)
+    if output:
+        _write(output, text + "\n")
     else:
-        _emit(doc, args.output)
-    return 0
+        print(text, flush=True)  # a closed stdout then raises inside main
+    return code
 
 
 def main(argv=None) -> int:

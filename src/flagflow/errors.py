@@ -5,11 +5,13 @@ to exit code 3. BudgetExceeded guards input sizes and exhaustive enumerations.
 Internal consistency failures raise plain AssertionError (CLI exit 4).
 Messages show a value through brief(), which never echoes a long one;
 all_digits() lifts the int-string digit limit where exact values are
-read or written in full.
+read or written in full. plain() is the one converter of exact values to
+JSON text: the CLI's JSON writer and the oracle's counterexamples use it.
 """
 
 import contextlib
 import sys
+from fractions import Fraction
 
 
 class DomainError(ValueError):
@@ -43,3 +45,16 @@ def all_digits():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def plain(value):
+    """A value as JSON holds it: a rational as "p/q", a tuple or list as a list,
+    JSON's scalars as they are; anything else raises TypeError, as json.dumps'
+    default must. A rational past 4300 digits needs all_digits()."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [plain(v) for v in value]
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")

@@ -223,14 +223,17 @@ def bounds_report(fs: FlowSolution, t) -> BoundsReport:
 def diameter_bound(fs: FlowSolution) -> tuple[float, Fraction]:
     """Myers bound pi * sqrt((2n-1) * C(omega_0)), uniform in t.
 
-    Returns (float value, exact radicand). The radicand is divided by 4^k
-    before it becomes a float, so only a value past the float range raises
-    OverflowError; k = 0 whenever the radicand itself fits.
+    Returns (float value, exact radicand). The radicand is scaled near 1 by an
+    exact 4^k, k of either sign, and the root back by 2^k; powers of 2 commute
+    with rounding, so no normal float value changes, and a value past the float
+    range, above or below, raises OverflowError.
     """
     radicand = (2 * fs.flag.n - 1) * fs.C
-    bits = radicand.numerator.bit_length() - radicand.denominator.bit_length()
-    k = max(0, (bits - 1000) // 2)
-    return math.ldexp(math.pi * math.sqrt(radicand / 4 ** k), k), radicand
+    k = (radicand.numerator.bit_length() - radicand.denominator.bit_length()) // 2
+    value = math.ldexp(math.pi * math.sqrt(radicand / Fraction(4) ** k), k)
+    if not value:
+        raise OverflowError("diameter bound below the float range")
+    return value, radicand
 
 
 def lambda1_bounds(fs: FlowSolution, t) -> tuple[Fraction, Fraction]:

@@ -4,7 +4,8 @@ Polynomial identities are verified by exact evaluation at more rational
 points than the degree bound, never by symbolic algebra. Floating
 finite-difference checks are advisory and reported under their own
 names; the exact checks are the contract. Failures are reported with a
-fully serialized counterexample, never raised.
+counterexample whose values are already JSON (errors.plain), never raised;
+run_suite reports the first one it finds.
 
 The two flow identities are checked root by root from the stored p_const,
 p_slope and a, never from the kernel's T-root groups, and in integers: at
@@ -19,7 +20,6 @@ directly, as the largest ceiling of q * l_alpha / d_alpha.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .dimcount import gt_count, weyl_dim
-from .errors import all_digits
+from .errors import all_digits, plain
 from .flow import (
     BoundsReport,
     FlowSolution,
@@ -100,19 +100,11 @@ class SuiteReport(namedtuple("SuiteReport", (
         }
 
 
-def _plain(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
-    return value
-
-
 def _counterexample(flag: ParabolicFlag, **fields) -> dict:
     """A failing instance: its flag, then the fields in order, rationals as "p/q"
     in full, at any length."""
     with all_digits():
-        fields = {name: _plain(value) for name, value in fields.items()}
+        fields = {name: plain(value) for name, value in fields.items()}
     return {
         "family": flag.rs.family,
         "rank": flag.rs.rank,
@@ -398,7 +390,8 @@ def _proper_subsets(rank: int) -> list[tuple[int, ...]]:
 
 
 def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
-    """Run every check over the configured types; deterministic given seed."""
+    """Run every check over the configured types; deterministic given seed.
+    The counterexample reported is the first one found, in the order run."""
     rng = random.Random(cfg.seed)
     start = time.monotonic()
     counts: dict[str, dict[str, int]] = {}
@@ -436,13 +429,9 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
             record("scale_laws", check_scale_laws(flag, divisor, rng.randint(2, 4)))
 
     record("weyl_gt_grid", check_weyl_gt_grid())
-
-    first = None
-    if counterexamples:
-        first = min(counterexamples, key=lambda c: json.dumps(c, sort_keys=True))
     return SuiteReport(
         checks=counts,
-        first_counterexample=first,
+        first_counterexample=next(iter(counterexamples), None),
         instances=instances,
         wall_time_s=time.monotonic() - start,
     )

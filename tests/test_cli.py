@@ -18,9 +18,10 @@ import pytest
 
 import flagflow
 import flagflow.dimcount
+import flagflow.oracle as oracle
 from flagflow import cli
 from flagflow.cli import main
-from flagflow.errors import all_digits
+from flagflow.errors import all_digits, plain
 
 P2 = ["--type", "A", "--rank", "2", "--theta", "2"]
 A2_FULL = ["--type", "A", "--rank", "2"]
@@ -153,6 +154,12 @@ def test_flow_volume_past_float_range(capsys, tmp_path):
     assert main([*e8, "--format", "csv", "--output", str(target)]) == 3
     assert "vol_coeff" in capsys.readouterr().err
     assert not target.exists()
+    # below the range: vol_coeff 10^-360 is nonzero, and its float 0.0 would print as 0
+    tiny = "1/1" + "0" * 120
+    assert main(["flow", *A2_FULL, "--class", f"{tiny},{tiny}", "--samples", "2",
+                 "--format", "csv", "--output", str(target)]) == 3
+    assert "CSV column vol_coeff is out of float range" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_flow_diameter_past_float_range(capsys):
@@ -163,6 +170,11 @@ def test_flow_diameter_past_float_range(capsys):
     assert diameter["value"] == pytest.approx(math.pi * 1e200)
     assert main([*p1_flow, str(10 ** 700)]) == 3
     assert "diameter_upper" in capsys.readouterr().err
+    # below the range: pi * 10^-200 is a normal float, pi * 10^-350 rounds to 0.0
+    doc = run_json(capsys, ["flow", *P1, "--t", "0", "--class", "1/1" + "0" * 400])
+    assert doc["result"]["diameter_upper"]["value"] == math.pi * 1e-200
+    assert main([*p1_flow, "1/1" + "0" * 700]) == 3
+    assert "diameter_upper is out of float range" in capsys.readouterr().err
 
 
 def test_flow_computes_dim_v_delta_once(capsys, monkeypatch):
@@ -414,6 +426,23 @@ def test_check_subcommand_reports_green_suite(capsys):
     assert res["exact_ok"] is True
     assert res["first_counterexample"] is None
     assert res["instances"] >= 200
+
+
+def test_check_subcommand_reports_a_failing_suite(capsys, monkeypatch):
+    # the suite on A1 alone, as in test_cli_contract.py, with the kernel's R off by one
+    config = oracle.SuiteConfig
+    monkeypatch.setattr(oracle, "SuiteConfig", lambda seed: config(
+        types=(("A", 1),), classes_per_flag=1, seed=seed))
+    kernel = oracle.scalar_curvature
+    monkeypatch.setattr(oracle, "scalar_curvature", lambda fs, t: kernel(fs, t) + 1)
+    assert main(["check", "--seed", "0"]) == 1
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["exact_ok"] is False
+    assert res["checks"]["scalar_volume_identity"] == {"pass": 0, "fail": 2}
+    first = res["first_counterexample"]
+    assert first == oracle.run_suite(oracle.SuiteConfig(0)).first_counterexample
+    assert (first["family"], first["rank"], first["theta"]) == ("A", 1, [])
+    assert (first["check"], first["b"], first["t"]) == ("scalar_volume_identity", ["2"], "0")
 
 
 def test_usage_errors_exit_two(capsys):
@@ -678,6 +707,16 @@ def test_internal_assertion_exits_four(capsys, monkeypatch):
     monkeypatch.setattr("flagflow.cli.build_root_system", boom)
     assert main(["describe", *P1]) == 4
     assert "internal assertion failed" in capsys.readouterr().err
+
+
+def test_plain_writes_exact_values_and_refuses_other_objects():
+    assert plain(Fraction(-3, 4)) == "-3/4"
+    assert plain((Fraction(2), [Fraction(1, 2), None, True, 1.5, "x"])) == [
+        "2", ["1/2", None, True, 1.5, "x"]]
+    with pytest.raises(TypeError, match="^complex is not JSON serializable$"):
+        plain(1j)
+    with pytest.raises(TypeError, match="^set is not JSON serializable$"):
+        json.dumps({"x": {1}}, default=plain)
 
 
 def test_version_flag(capsys):

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import flagflow.oracle as oracle
 from flagflow import (
     CheckOutcome,
     SuiteConfig,
@@ -452,6 +453,21 @@ def test_small_suite_passes_and_counts_instances():
                  "flow_nef_consistency", "scale_laws", "weyl_gt_grid"):
         assert rep.checks[name]["fail"] == 0
         assert rep.checks[name]["pass"] > 0
+
+
+def test_failing_suite_reports_the_first_counterexample_it_finds(monkeypatch):
+    kernel = oracle.scalar_curvature
+    monkeypatch.setattr(oracle, "scalar_curvature", lambda fs, t: kernel(fs, t) + 1)
+    rep = run_suite(SuiteConfig(types=(("A", 1), ("A", 2))))
+    assert not rep.exact_ok
+    assert rep.checks["scalar_volume_identity"] == {"pass": 0, "fail": rep.instances}
+    # the first instance run: A1, Theta empty, the Fano class, the first sampled time
+    first = rep.first_counterexample
+    assert (first["family"], first["rank"], first["theta"]) == ("A", 1, [])
+    assert (first["check"], first["b"], first["t"]) == ("scalar_volume_identity", ["2"], "0")
+    # the types run as listed
+    first = run_suite(SuiteConfig(types=(("A", 2), ("A", 1)))).first_counterexample
+    assert (first["rank"], first["theta"], first["b"]) == (2, [], ["2", "2"])
 
 
 def test_suite_is_deterministic_for_a_seed():

@@ -28,6 +28,24 @@ def test_package_imports_only_the_standard_library():
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
 
 
+def test_only_the_cli_imports_json():
+    # one JSON writer: the other modules hand exact values to it, or to errors.plain,
+    # and encode nothing themselves
+    sources = sorted(Path(flagflow.__file__).parent.glob("*.py"))
+    importers = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if "json" in [name.split(".")[0] for name in names]:
+                importers.append(path.name)
+    assert importers == ["cli.py"]
+
+
 def fresh_env() -> dict:
     src = str(Path(flagflow.__file__).parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
