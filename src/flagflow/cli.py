@@ -336,10 +336,10 @@ def _write(path: str, text: str) -> None:
 
 
 def _decimal(name: str, x: Fraction) -> str:
-    """x to 12 significant digits, refused past the float range at either end."""
+    """x to 12 significant digits, refused past the normal float range at either end."""
     try:
         value = float(x)
-        if x and not value:
+        if x and abs(value) < sys.float_info.min:  # below it a float keeps fewer digits
             raise OverflowError
     except OverflowError:
         raise DomainError(f"CSV column {name} is out of float range") from None

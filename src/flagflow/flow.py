@@ -45,8 +45,8 @@ them.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, brief
@@ -59,24 +59,34 @@ KahlerClass = tuple[Fraction, ...]
 RM_BOUND_SYMBOLIC = "C(n)/(T-t)"
 
 
-@dataclass(frozen=True)
-class FlowSolution:
-    """Immutable trajectory data; evaluators are pure functions of (fs, t). A dataclass,
-    unlike the other records, because the negative controls corrupt one field with
-    dataclasses.replace."""
+class _DataclassFields:
+    """The dataclass protocol's fields of a namedtuple, built on first read and then
+    bound on the class in this descriptor's place, so later reads cost nothing."""
 
-    flag: ParabolicFlag
-    b0: KahlerClass
-    T: Fraction
-    C: Fraction                     # C(omega_0) = max_alpha 2 b_alpha / l_alpha
-    p_const: tuple[Fraction, ...]   # P_beta(0), per comp_pos_roots
-    p_slope: tuple[int, ...]        # always -a_beta
-    a: tuple[int, ...]              # <delta_P, h_beta^v>, per comp_pos_roots
-    einstein: bool                  # b proportional to the Fano coefficients
-    v0: Fraction                    # volume coefficient at t = 0
-    den: int                        # common denominator of b
-    # (N_g, a_g, m_g) per distinct pair (den * P_beta(0), a_beta), with P_g(0) = N_g / den
-    groups: tuple[tuple[int, int, int], ...]
+    def __get__(self, obj, cls):
+        import dataclasses
+        fields = dataclasses.make_dataclass(cls.__name__, cls._fields).__dataclass_fields__
+        cls.__dataclass_fields__ = fields
+        return fields
+
+
+class FlowSolution(namedtuple("FlowSolution", (
+        "flag", "b0", "T",
+        "C",            # C(omega_0) = max_alpha 2 b_alpha / l_alpha
+        "p_const",      # P_beta(0), per comp_pos_roots
+        "p_slope",      # always -a_beta
+        "a",            # <delta_P, h_beta^v>, per comp_pos_roots
+        "einstein",     # b proportional to the Fano coefficients
+        "v0",           # volume coefficient at t = 0
+        "den",          # common denominator of b
+        # (N_g, a_g, m_g) per distinct pair (den * P_beta(0), a_beta), with P_g(0) = N_g / den
+        "groups"))):
+    """Immutable trajectory data; evaluators are pure functions of (fs, t). A namedtuple
+    like the other records, so no start-up imports dataclasses; it still carries the
+    dataclass fields, built on first use, because the negative controls corrupt one
+    field with dataclasses.replace."""
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
 
 
 class BoundsReport(namedtuple("BoundsReport", (
@@ -225,14 +235,14 @@ def diameter_bound(fs: FlowSolution) -> tuple[float, Fraction]:
 
     Returns (float value, exact radicand). The radicand is scaled near 1 by an
     exact 4^k, k of either sign, and the root back by 2^k; powers of 2 commute
-    with rounding, so no normal float value changes, and a value past the float
-    range, above or below, raises OverflowError.
+    with rounding, so no normal float value changes. A value past the normal float
+    range, above or below, raises OverflowError: below it a float keeps fewer digits.
     """
     radicand = (2 * fs.flag.n - 1) * fs.C
     k = (radicand.numerator.bit_length() - radicand.denominator.bit_length()) // 2
     value = math.ldexp(math.pi * math.sqrt(radicand / Fraction(4) ** k), k)
-    if not value:
-        raise OverflowError("diameter bound below the float range")
+    if value < sys.float_info.min:
+        raise OverflowError("diameter bound below the normal float range")
     return value, radicand
 
 

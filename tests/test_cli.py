@@ -160,6 +160,17 @@ def test_flow_volume_past_float_range(capsys, tmp_path):
                  "--format", "csv", "--output", str(target)]) == 3
     assert "CSV column vol_coeff is out of float range" in capsys.readouterr().err
     assert not target.exists()
+    # and below the normal range, where a float keeps fewer digits: vol_coeff at t = 0 is
+    # 1e-306 (normal), 1e-309 and 10^-315 (which printed as 9.99999998482e-316)
+    a2 = ["flow", *A2_FULL, "--format", "csv", "--output", str(target), "--class"]
+    assert main([*a2, f"1/1{'0' * 102},1/1{'0' * 102}", "--samples", "1"]) == 0
+    (row,) = csv.DictReader(io.StringIO(target.read_text(encoding="utf-8")))
+    assert row["vol_coeff"] == "1e-306"
+    target.unlink()
+    for zeros, samples in ((103, "1"), (105, "2")):
+        assert main([*a2, f"1/1{'0' * zeros},1/1{'0' * zeros}", "--samples", samples]) == 3
+        assert "CSV column vol_coeff is out of float range" in capsys.readouterr().err
+        assert not target.exists()
 
 
 def test_flow_diameter_past_float_range(capsys):
@@ -175,6 +186,14 @@ def test_flow_diameter_past_float_range(capsys):
     assert doc["result"]["diameter_upper"]["value"] == math.pi * 1e-200
     assert main([*p1_flow, "1/1" + "0" * 700]) == 3
     assert "diameter_upper is out of float range" in capsys.readouterr().err
+    # the normal range ends at sys.float_info.min: pi * 10^-308 prints in full, while
+    # pi * 10^-309 and pi * 10^-315 (which printed as 3.141592653e-315) keep fewer digits
+    doc = run_json(capsys, ["flow", *P1, "--t", "0", "--class", "1/1" + "0" * 616])
+    value = doc["result"]["diameter_upper"]["value"]
+    assert value > sys.float_info.min and repr(value).startswith("3.14159265358979")
+    for zeros in (618, 630):
+        assert main(["flow", *P1, "--t", "0", "--class", "1/1" + "0" * zeros]) == 3
+        assert "diameter_upper is out of float range" in capsys.readouterr().err
 
 
 def test_flow_computes_dim_v_delta_once(capsys, monkeypatch):

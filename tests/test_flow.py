@@ -1,5 +1,6 @@
 """Flow trajectories: closed forms, frozen values, bound chains, rejections."""
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from flagflow import (
     DomainError,
+    FlowSolution,
     RM_BOUND_SYMBOLIC,
     bounds_report,
     build_flag,
@@ -56,6 +58,24 @@ def test_a2_full_flag_frozen_trajectory():
     assert class_at(fs, Fraction(1, 4)) == (Fraction(1, 2), Fraction(3, 2))
     assert volume(fs, Fraction(0)) == Fraction(3)
     assert volume(fs, fs.T) == Fraction(0)
+
+
+def test_flow_solution_keeps_the_dataclass_protocol():
+    # a namedtuple that carries dataclass fields, so the negative controls can corrupt
+    # one field with dataclasses.replace
+    fs = a2_full_flow()
+    assert dataclasses.is_dataclass(FlowSolution) and dataclasses.is_dataclass(fs)
+    assert tuple(f.name for f in dataclasses.fields(fs)) == FlowSolution._fields
+    moved = dataclasses.replace(fs, T=fs.T / 2)
+    assert type(moved) is FlowSolution and moved.T == fs.T / 2
+    assert moved._replace(T=fs.T) == fs
+    with pytest.raises(TypeError):
+        dataclasses.replace(fs, speed=1)
+    with pytest.raises(AttributeError):
+        fs.T = Fraction(1)
+    # built once, then bound on the class in the descriptor's place
+    assert FlowSolution.__dataclass_fields__ is fs.__dataclass_fields__
+    assert vars(FlowSolution)["__dataclass_fields__"] is fs.__dataclass_fields__
 
 
 def test_a2_consumption_rates_and_slopes():

@@ -74,6 +74,21 @@ def test_start_up_leaves_out_the_oracle_and_invariants():
         assert not {"flagflow.oracle", "flagflow.invariants", "flagflow.dimcount"} & loaded
 
 
+def test_no_command_loads_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, about 10 ms of every start-up;
+    # FlowSolution builds its dataclass fields only when something reads them
+    a2 = ["--type", "A", "--rank", "2"]
+    for args in (["-c", "import flagflow.cli"], ["-m", "flagflow.cli", "describe", *a2],
+                 ["-m", "flagflow.cli", "flow", *a2, "--class", "1,2"],
+                 ["-m", "flagflow.cli", "invariants", *a2, "--divisor", "1,1", "--lct-m", "1"],
+                 ["-m", "flagflow.cli", "check", "--seed", "0"]):
+        err = subprocess.run([sys.executable, "-X", "importtime", *args], env=fresh_env(),
+                             capture_output=True, text=True, timeout=120, check=True).stderr
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()}
+        assert "flagflow.flow" in loaded, err[-300:]
+        assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & loaded, args
+
+
 def test_flow_solution_is_the_only_dataclass_and_typing_stays_out():
     # each dataclass costs about 1.5 ms to create on every start-up, and importing typing
     # 5-25 ms; records read by field are namedtuples instead
