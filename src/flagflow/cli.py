@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import BudgetExceeded, DomainError, all_digits, brief, plain
+from .errors import BudgetExceeded, DomainError, all_digits, brief, normal_float, plain
 from .flow import bounds_report, class_at, diameter_bound, make_flow
 from .parabolic import ParabolicFlag, build_flag, canonical_divisor, require_length
 from .rootsys import build_root_system
@@ -220,7 +220,7 @@ def _read_job(path: str) -> dict:
         raise UsageError(f"job file must hold a JSON object, got {type(data).__name__}")
     unknown = set(data) - set(DESCRIPTOR_KEYS)
     if unknown:
-        raise UsageError(f"unknown job fields: {sorted(unknown)}")
+        raise UsageError(f"unknown job fields: {[brief(name) for name in sorted(unknown)]}")
     return {key: value for key, value in data.items() if value is not None}
 
 
@@ -338,12 +338,9 @@ def _write(path: str, text: str) -> None:
 def _decimal(name: str, x: Fraction) -> str:
     """x to 12 significant digits, refused past the normal float range at either end."""
     try:
-        value = float(x)
-        if x and abs(value) < sys.float_info.min:  # below it a float keeps fewer digits
-            raise OverflowError
+        return format(normal_float(x), ".12g")
     except OverflowError:
         raise DomainError(f"CSV column {name} is out of float range") from None
-    return format(value, ".12g")
 
 
 def _csv_text(samples: list[dict]) -> str:

@@ -17,20 +17,18 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .errors import BudgetExceeded, DomainError
-from .rootsys import RootSystem, Weight, pairing, rho_pairing
+from .errors import BudgetExceeded, DomainError, brief
+from .rootsys import RootSystem, Weight, pairing, require_rank, rho_pairing
 
 DEFAULT_GT_BUDGET = 10 ** 6
 
 
 def _require_dominant_integral(rs: RootSystem, weight: Weight) -> tuple[int, ...]:
-    if len(weight) != rs.rank:
-        raise DomainError(
-            f"weight has {len(weight)} coordinates; expected {rs.rank}")
+    require_rank(rs, weight)
     coords = tuple(int(m) for m in weight)
     if coords != tuple(weight) or min(coords) < 0:
         raise DomainError(
-            f"weight {tuple(str(Fraction(x)) for x in weight)} "
+            f"weight {tuple(brief(Fraction(x)) for x in weight)} "
             "is not dominant integral")
     return coords
 
@@ -59,7 +57,11 @@ def gt_count(rs: RootSystem, weight: Weight, budget: int = DEFAULT_GT_BUDGET) ->
             f"Gelfand-Tsetlin enumeration is defined for type A only (got {rs.family})")
     m = _require_dominant_integral(rs, weight)
     top = tuple(sum(m[j:]) for j in range(rs.rank + 1))
-
+    exceeded = BudgetExceeded(f"Gelfand-Tsetlin enumeration exceeded budget {brief(budget)}")
+    # each row that interlaces the top completes a pattern, so more such rows than the
+    # budget are refused before product() lists the top's ranges
+    if prod(a - b + 1 for a, b in zip(top, top[1:])) > budget:
+        raise exceeded
     count = 0
 
     def descend(row: tuple[int, ...]) -> None:
@@ -67,8 +69,7 @@ def gt_count(rs: RootSystem, weight: Weight, budget: int = DEFAULT_GT_BUDGET) ->
         if len(row) == 1:
             count += 1
             if count > budget:
-                raise BudgetExceeded(
-                    f"Gelfand-Tsetlin enumeration exceeded budget {budget}")
+                raise exceeded
             return
         # every choice interlaces, and interlacing forces y non-increasing
         for nxt in product(*(range(row[i + 1], row[i] + 1) for i in range(len(row) - 1))):

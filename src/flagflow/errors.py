@@ -1,12 +1,11 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the converters of exact values.
 
 DomainError marks input rejected on mathematical grounds; the CLI maps it
 to exit code 3. BudgetExceeded guards input sizes and exhaustive enumerations.
 Internal consistency failures raise plain AssertionError (CLI exit 4).
-Messages show a value through brief(), which never echoes a long one;
-all_digits() lifts the int-string digit limit where exact values are
-read or written in full. plain() is the one converter of exact values to
-JSON text: the CLI's JSON writer and the oracle's counterexamples use it.
+Exact values leave through three converters: brief() shows one in a message,
+never a long one; plain() writes one as JSON text, in full at any length;
+normal_float() is the one float rule. all_digits() lifts the digit limit.
 """
 
 import contextlib
@@ -23,12 +22,9 @@ class BudgetExceeded(DomainError):
 
 
 def brief(value) -> str:
-    """A value as a message shows it: in full when short, else by its size.
-
-    Text over 40 characters keeps its first 20. A number is sized by its bit
-    length before str(), which raises past 4300 digits; 128 bits is under 40
-    digits.
-    """
+    """A value as a message shows it: in full when short, else by its size. Text
+    over 40 characters keeps its first 20; a number over 128 bits is shown by its
+    bit length, never by str(), which raises past 4300 digits."""
     if isinstance(value, str):
         return value if len(value) <= 40 else f"{value[:20]}... ({len(value)} characters)"
     bits = sum(x.bit_length() for x in value.as_integer_ratio())
@@ -48,13 +44,26 @@ def all_digits():
 
 
 def plain(value):
-    """A value as JSON holds it: a rational as "p/q", a tuple or list as a list,
-    JSON's scalars as they are; anything else raises TypeError, as json.dumps'
-    default must. A rational past 4300 digits needs all_digits()."""
+    """A value as JSON holds it: a rational as "p/q" at any length, a tuple or list
+    as a list, JSON's scalars as they are; anything else raises TypeError, as
+    json.dumps' default must. The digit limit is lifted only when str() refuses."""
     if isinstance(value, Fraction):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # past 4300 digits
+            with all_digits():
+                return str(value)
     if isinstance(value, (tuple, list)):
         return [plain(v) for v in value]
     if value is None or isinstance(value, (str, int, float)):
         return value
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def normal_float(exact, value=None) -> float:
+    """float(exact), or the float given for it, refused with OverflowError past the
+    normal range: above it, or nonzero (read exactly) and below sys.float_info.min."""
+    value = float(exact) if value is None else value  # float() raises above the range
+    if not sys.float_info.min <= abs(value) <= sys.float_info.max and exact:
+        raise OverflowError(f"{brief(exact)} is past the normal float range")
+    return value

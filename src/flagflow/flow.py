@@ -45,11 +45,10 @@ them.
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .errors import DomainError, brief
+from .errors import DomainError, brief, normal_float
 from .parabolic import ParabolicFlag, require_length
 from .rootsys import pairing
 
@@ -235,15 +234,12 @@ def diameter_bound(fs: FlowSolution) -> tuple[float, Fraction]:
 
     Returns (float value, exact radicand). The radicand is scaled near 1 by an
     exact 4^k, k of either sign, and the root back by 2^k; powers of 2 commute
-    with rounding, so no normal float value changes. A value past the normal float
-    range, above or below, raises OverflowError: below it a float keeps fewer digits.
+    with rounding, so no normal float value changes. Past that range it raises OverflowError.
     """
     radicand = (2 * fs.flag.n - 1) * fs.C
     k = (radicand.numerator.bit_length() - radicand.denominator.bit_length()) // 2
     value = math.ldexp(math.pi * math.sqrt(radicand / Fraction(4) ** k), k)
-    if value < sys.float_info.min:
-        raise OverflowError("diameter bound below the normal float range")
-    return value, radicand
+    return normal_float(radicand, value), radicand
 
 
 def lambda1_bounds(fs: FlowSolution, t) -> tuple[Fraction, Fraction]:

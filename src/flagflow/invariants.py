@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from .dimcount import weyl_dim
-from .errors import DomainError, all_digits, brief
+from .errors import DomainError, brief, plain
 from .flow import FlowSolution, make_flow, scalar_curvature
 from .parabolic import (
     DivisorClass,
@@ -115,12 +115,10 @@ def invariants_of(flag: ParabolicFlag, coeffs: DivisorClass) -> InvariantReport:
         lambda1_upper = Fraction(2 * flag.n * dim_v, dim_v - 1)
     borel = None
     if not flag.theta:
-        with all_digits():  # 2T(D) may pass 4300 digits
-            radius = f"pi*{2 * fs.T}"
         borel = BorelBounds(
             seshadri_upper=2 * fs.T,
             gromov_width_upper=2 * fs.T,
-            kahler_radius_upper=radius,
+            kahler_radius_upper="pi*" + plain(2 * fs.T),
             sympl_radius_upper=Fraction(2 * flag.n) / scalar_curvature(fs, 0),
         )
     return InvariantReport(

@@ -3,9 +3,10 @@
 Polynomial identities are verified by exact evaluation at more rational
 points than the degree bound, never by symbolic algebra. Floating
 finite-difference checks are advisory and reported under their own
-names; the exact checks are the contract. Failures are reported with a
-counterexample whose values are already JSON (errors.plain), never raised;
-run_suite reports the first one it finds.
+names; the exact checks are the contract, and a flow past the normal float
+range fails the finite-difference check with the reason. Failures are reported
+with a counterexample whose values are already JSON (errors.plain), never
+raised; run_suite reports the first one it finds.
 
 The two flow identities are checked root by root from the stored p_const,
 p_slope and a, never from the kernel's T-root groups, and in integers: at
@@ -28,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .dimcount import gt_count, weyl_dim
-from .errors import all_digits, plain
+from .errors import normal_float, plain
 from .flow import (
     BoundsReport,
     FlowSolution,
@@ -103,13 +104,11 @@ class SuiteReport(namedtuple("SuiteReport", (
 def _counterexample(flag: ParabolicFlag, **fields) -> dict:
     """A failing instance: its flag, then the fields in order, rationals as "p/q"
     in full, at any length."""
-    with all_digits():
-        fields = {name: plain(value) for name, value in fields.items()}
     return {
         "family": flag.rs.family,
         "rank": flag.rs.rank,
         "theta": list(flag.theta),
-        **fields,
+        **{name: plain(value) for name, value in fields.items()},
     }
 
 
@@ -202,20 +201,25 @@ def check_ricci_identity(fs: FlowSolution) -> tuple[CheckOutcome, CheckOutcome]:
             break
 
     fd = CheckOutcome(True)
-    h = min(FD_STEP, float(fs.T) * 1e-3)
-    terms = [(a, float(c), float(s)) for a, c, s in zip(fs.a, fs.p_const, fs.p_slope)]
-    for j in range(1, 6):
-        t = _sample(fs.T, j, 10)
-        tf = float(t)
-        diff = (_scalar_float(terms, tf + h) - _scalar_float(terms, tf - h)) / (2 * h)
-        truth = float(ricci_norm_sq(fs, t))
-        rel = abs(diff - truth) / abs(truth)
-        if rel > FD_TOL:
-            fd = CheckOutcome(False, _counterexample(
-                fs.flag, b=fs.b0, check="ricci_identity_fd", t=t,
-                finite_difference=repr(diff), ricci_norm_sq=repr(truth),
-                relative_error=repr(rel)))
-            break
+    try:
+        h = min(FD_STEP, normal_float(fs.T) * 1e-3)
+        terms = [(a, normal_float(c), normal_float(s))
+                 for a, c, s in zip(fs.a, fs.p_const, fs.p_slope)]
+        for j in range(1, 6):
+            t = _sample(fs.T, j, 10)
+            tf = normal_float(t)
+            diff = (_scalar_float(terms, tf + h) - _scalar_float(terms, tf - h)) / (2 * h)
+            truth = normal_float(ricci_norm_sq(fs, t))
+            rel = abs(diff - truth) / abs(truth)
+            if rel > FD_TOL:
+                fd = CheckOutcome(False, _counterexample(
+                    fs.flag, b=fs.b0, check="ricci_identity_fd", t=t,
+                    finite_difference=repr(diff), ricci_norm_sq=repr(truth),
+                    relative_error=repr(rel)))
+                break
+    except OverflowError as exc:  # a flow past the normal float range has no float check
+        fd = CheckOutcome(False, _counterexample(
+            fs.flag, b=fs.b0, check="ricci_identity_fd", reason=str(exc)))
     return exact, fd
 
 

@@ -155,8 +155,15 @@ def rho(rs: RootSystem) -> tuple[int, ...]:
     return (1,) * rs.rank
 
 
+def require_rank(rs: RootSystem, coords) -> None:
+    """A weight or root has one coordinate per simple root."""
+    if len(coords) != rs.rank:
+        raise DomainError(f"{len(coords)} coordinates given; expected {rs.rank}")
+
+
 def fund_coords(rs: RootSystem, k: Root) -> tuple[int, ...]:
     """Fundamental-weight coordinates of the root with coefficient vector k."""
+    require_rank(rs, k)
     return tuple(
         sum(k[i] * rs.cartan[i][j] for i in range(rs.rank))
         for j in range(rs.rank)
@@ -166,7 +173,7 @@ def fund_coords(rs: RootSystem, k: Root) -> tuple[int, ...]:
 def _row(rs: RootSystem, root_index: int) -> tuple[int, ...]:
     if not 0 <= root_index < len(rs.positive_roots):
         raise DomainError(
-            f"root index {root_index} out of range "
+            f"root index {brief(root_index)} out of range "
             f"(0..{len(rs.positive_roots) - 1})")
     return rs.pairing_rows[root_index]
 
@@ -176,6 +183,7 @@ def pairing(rs: RootSystem, weight: Weight, root_index: int) -> int | Fraction:
 
     An int for an integral weight, a Fraction for a rational one.
     """
+    require_rank(rs, weight)
     return sum(m * r for m, r in zip(weight, _row(rs, root_index)))
 
 

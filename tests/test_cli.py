@@ -21,7 +21,7 @@ import flagflow.dimcount
 import flagflow.oracle as oracle
 from flagflow import cli
 from flagflow.cli import main
-from flagflow.errors import all_digits, plain
+from flagflow.errors import all_digits, normal_float, plain
 
 P2 = ["--type", "A", "--rank", "2", "--theta", "2"]
 A2_FULL = ["--type", "A", "--rank", "2"]
@@ -531,6 +531,15 @@ def test_usage_errors_exit_two(capsys):
         f"error: cannot write {long_name}: No such file or directory\n")
 
 
+def test_unknown_job_fields_are_named_briefly(capsys, tmp_path):
+    # a 100000-character unknown key was echoed in full: 100112 bytes of stderr
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"lie_family": "A", "rank": 2, "k" * 100_000: 1, "x": 2}))
+    assert main(["describe", "--job", str(job)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: unknown job fields: ['kkkkkkkkkkkkkkkkkkkk... (100000 characters)', 'x']\n")
+
+
 def test_job_conflicts_exit_two(capsys, tmp_path):
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"lie_family": "A", "rank": 1}))
@@ -736,6 +745,26 @@ def test_plain_writes_exact_values_and_refuses_other_objects():
         plain(1j)
     with pytest.raises(TypeError, match="^set is not JSON serializable$"):
         json.dumps({"x": {1}}, default=plain)
+
+
+def test_plain_writes_any_length_and_leaves_the_digit_limit_as_it_found_it():
+    limit = sys.get_int_max_str_digits()
+    for value in (Fraction(-(10 ** 5000) - 1, 3), Fraction(1, 10 ** 4300)):
+        text = plain(value)
+        assert sys.get_int_max_str_digits() == limit
+        with all_digits():
+            assert Fraction(text) == value and text == str(value)
+
+
+def test_normal_float_refuses_values_past_the_normal_range():
+    assert normal_float(Fraction(0)) == 0.0
+    assert normal_float(Fraction(-1, 10 ** 307)) == -1e-307
+    assert normal_float(Fraction(3), 1.5) == 1.5  # a float computed from the value
+    for exact, value in ((Fraction(10 ** 309), None), (Fraction(1, 10 ** 309), None),
+                         (Fraction(1, 10 ** 400), None), (Fraction(-(10 ** 5000)), None),
+                         (Fraction(1, 10 ** 400), 0.0), (Fraction(2), math.inf)):
+        with pytest.raises(OverflowError):
+            normal_float(exact, value)
 
 
 def test_version_flag(capsys):

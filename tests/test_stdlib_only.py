@@ -46,6 +46,29 @@ def test_only_the_cli_imports_json():
     assert importers == ["cli.py"]
 
 
+def test_only_errors_and_the_cli_apply_the_digit_and_float_rules():
+    # plain() writes exact values at any length and normal_float() is the one float rule;
+    # the CLI lifts the digit limit itself only to read input and to write raw ints
+    allowed = {"all_digits": {"cli.py", "errors.py"},
+               "set_int_max_str_digits": {"cli.py", "errors.py"},
+               "float_info": {"errors.py"}}
+    mentioned = {}
+    for path in sorted(Path(flagflow.__file__).parent.glob("*.py")):
+        names = mentioned[path.name] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update({node.name.rsplit(".", 1)[-1], node.asname})
+            elif isinstance(node, ast.FunctionDef):
+                names.add(node.name)
+    for name, files in allowed.items():
+        found = {module for module, names in mentioned.items() if name in names}
+        assert "errors.py" in found and found <= files, (name, sorted(found))
+
+
 def fresh_env() -> dict:
     src = str(Path(flagflow.__file__).parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
