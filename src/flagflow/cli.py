@@ -218,9 +218,10 @@ def _read_job(path: str) -> dict:
         raise UsageError(f"cannot read job file: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"job file must hold a JSON object, got {type(data).__name__}")
-    unknown = set(data) - set(DESCRIPTOR_KEYS)
+    unknown = sorted(set(data) - set(DESCRIPTOR_KEYS))
     if unknown:
-        raise UsageError(f"unknown job fields: {[brief(name) for name in sorted(unknown)]}")
+        more = f" and {len(unknown) - 3} more" if len(unknown) > 3 else ""
+        raise UsageError(f"unknown job fields: {[brief(name) for name in unknown[:3]]}{more}")
     return {key: value for key, value in data.items() if value is not None}
 
 

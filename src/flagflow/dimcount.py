@@ -7,13 +7,14 @@ weyl_dim evaluates the Weyl product formula
 in integers: the product of the numerators over the product of the
 denominators, divided once (the quotient must be exact; anything else is
 an internal error). gt_count recounts the same dimension in type A by
-exhaustively enumerating Gelfand-Tsetlin patterns, giving an oracle that
-shares no code path with the product formula.
+exhaustively summing Gelfand-Tsetlin patterns over interlacing rows, giving
+an oracle that shares no code path with the product formula.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import prod
 
@@ -44,36 +45,34 @@ def weyl_dim(rs: RootSystem, weight: Weight) -> int:
 
 
 def gt_count(rs: RootSystem, weight: Weight, budget: int = DEFAULT_GT_BUDGET) -> int:
-    """dim V(lambda) in type A by Gelfand-Tsetlin pattern enumeration.
+    """dim V(lambda) in type A by counting Gelfand-Tsetlin patterns.
 
     The top row is the partition lambda_j = sum_{i>=j} m_i (length
     rank+1, last entry 0); each following row interlaces the one above.
-    Enumeration is exhaustive by design. The completed-pattern budget
-    (default 10^6) guards against blowup; exceeding it raises
-    BudgetExceeded.
+    The count is exhaustive: the patterns below a row sum those below each
+    row interlacing it, each distinct row counted once. More patterns than
+    the budget (default 10^6) raise BudgetExceeded.
     """
     if rs.family != "A":
         raise DomainError(
             f"Gelfand-Tsetlin enumeration is defined for type A only (got {rs.family})")
     m = _require_dominant_integral(rs, weight)
-    top = tuple(sum(m[j:]) for j in range(rs.rank + 1))
     exceeded = BudgetExceeded(f"Gelfand-Tsetlin enumeration exceeded budget {brief(budget)}")
-    # each row that interlaces the top completes a pattern, so more such rows than the
-    # budget are refused before product() lists the top's ranges
-    if prod(a - b + 1 for a, b in zip(top, top[1:])) > budget:
-        raise exceeded
-    count = 0
 
-    def descend(row: tuple[int, ...]) -> None:
-        nonlocal count
-        if len(row) == 1:
-            count += 1
-            if count > budget:
-                raise exceeded
-            return
-        # every choice interlaces, and interlacing forces y non-increasing
-        for nxt in product(*(range(row[i + 1], row[i] + 1) for i in range(len(row) - 1))):
-            descend(nxt)
+    @cache
+    def below(row: tuple[int, ...]) -> int:
+        # the rows interlacing this one take each y_i in [row[i+1], row[i]]. Each completes
+        # a pattern, so more of them than the budget are refused before they are listed
+        pairs = list(zip(row, row[1:]))
+        count = prod(a - b + 1 for a, b in pairs)
+        if count > budget:
+            raise exceeded
+        if len(row) > 2:  # a row of two has one pattern per row below it
+            count = 0
+            for nxt in product(*(range(b, a + 1) for a, b in pairs)):
+                count += below(nxt)
+                if count > budget:
+                    raise exceeded
+        return count
 
-    descend(top)
-    return count
+    return below(tuple(sum(m[j:]) for j in range(rs.rank + 1)))

@@ -22,6 +22,7 @@ import flagflow.oracle as oracle
 from flagflow import cli
 from flagflow.cli import main
 from flagflow.errors import all_digits, normal_float, plain
+from test_cli_contract import MAX_STDERR
 
 P2 = ["--type", "A", "--rank", "2", "--theta", "2"]
 A2_FULL = ["--type", "A", "--rank", "2"]
@@ -271,7 +272,9 @@ def test_full_stderr_keeps_the_exit_code(argv, code):
 
 
 def test_only_the_process_entry_freezes(capsys, monkeypatch):
-    code = "import flagflow.cli, gc; print(gc.get_freeze_count(), gc.isenabled())"
+    # against the child's own count before the import: some interpreters start frozen
+    code = ("import gc; before = gc.get_freeze_count(); import flagflow.cli; "
+            "print(gc.get_freeze_count() - before, gc.isenabled())")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=process_env(), timeout=60, check=True)
     assert proc.stdout == "0 True\n"
@@ -538,6 +541,18 @@ def test_unknown_job_fields_are_named_briefly(capsys, tmp_path):
     assert main(["describe", "--job", str(job)]) == 2
     assert capsys.readouterr().err.endswith(
         "error: unknown job fields: ['kkkkkkkkkkkkkkkkkkkk... (100000 characters)', 'x']\n")
+
+
+def test_many_unknown_job_fields_are_counted_not_listed(capsys, tmp_path):
+    # 100000 unknown keys were all listed: 988998 bytes of stderr
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"lie_family": "A", "rank": 2,
+                               **{f"k{i:05}": i for i in range(100_000)}}))
+    assert main(["describe", "--job", str(job)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err) < MAX_STDERR
+    assert err.endswith("error: unknown job fields: "
+                        "['k00000', 'k00001', 'k00002'] and 99997 more\n")
 
 
 def test_job_conflicts_exit_two(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from flagflow import (
     rho,
     weyl_dim,
 )
+from flagflow.dimcount import DEFAULT_GT_BUDGET
+from flagflow.errors import brief
 
 KNOWN_DIMS = [
     ("A", 1, (1,), 2),
@@ -152,3 +155,73 @@ def test_gt_count_matches_weyl_dim_past_rank_three(rank, weights):
     rs = build_root_system("A", rank)
     for weight in weights:
         assert gt_count(rs, weight) == weyl_dim(rs, weight), weight
+
+
+def enumerated(rs, weight, budget):
+    """The pattern-by-pattern loop that gt_count's row recursion replaced, kept as
+    its reference: it counts each completed pattern and raises past the budget."""
+    top = tuple(sum(weight[j:]) for j in range(rs.rank + 1))
+    exceeded = BudgetExceeded(f"Gelfand-Tsetlin enumeration exceeded budget {brief(budget)}")
+    if prod(a - b + 1 for a, b in zip(top, top[1:])) > budget:
+        raise exceeded
+    count = 0
+
+    def descend(row):
+        nonlocal count
+        if len(row) == 1:
+            count += 1
+            if count > budget:
+                raise exceeded
+            return
+        ranges = (range(row[i + 1], row[i] + 1) for i in range(len(row) - 1))
+        for nxt in itertools.product(*ranges):
+            descend(nxt)
+
+    descend(top)
+    return count
+
+
+def outcome(count, rs, weight, budget):
+    """The value counted, or the refusal's message."""
+    try:
+        return count(rs, weight, budget)
+    except BudgetExceeded as exc:
+        return f"BudgetExceeded: {exc}"
+
+
+def assert_parity(cases):
+    for rank, weight, budget in cases:
+        rs = build_root_system("A", rank)
+        assert (outcome(gt_count, rs, weight, budget)
+                == outcome(enumerated, rs, weight, budget)), (weight, budget)
+
+
+def weights(ranks, top):
+    for rank in ranks:
+        for weight in itertools.product(range(top + 1), repeat=rank):
+            yield rank, weight, weyl_dim(build_root_system("A", rank), weight)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_gt_count_matches_the_pattern_loop_at_the_default_budget(rank):
+    """Every weight with coordinates <= 3; A4's largest, 3 rho, is refused."""
+    assert_parity((rank, weight, DEFAULT_GT_BUDGET)
+                  for weight in itertools.product(range(4), repeat=rank))
+
+
+def test_gt_count_matches_the_pattern_loop_at_tight_budgets():
+    """Budgets count - 1, count and 0 on A1-A3 weights with coordinates <= 3, and
+    every budget up to count + 1 on the A1-A2 ones and on A3's with coordinates
+    <= 1, so the running count is refused at each of its steps: 668 cases."""
+    cases = {(rank, weight, budget) for rank, weight, dim in weights([1, 2, 3], 3)
+             for budget in (dim - 1, dim, 0)}
+    cases |= {(rank, weight, budget)
+              for rank, weight, dim in [*weights([1, 2], 3), *weights([3], 1)]
+              for budget in range(dim + 2)}
+    assert len(cases) == 668
+    assert_parity(sorted(cases))
+
+
+def test_gt_count_refuses_a_row_of_two_past_the_budget():
+    # answered by a - b + 1 before the budget check, (10**7,) returned 10000001
+    assert_parity((1, (top,), DEFAULT_GT_BUDGET) for top in (999_999, 10 ** 6, 10 ** 7))
