@@ -86,8 +86,6 @@ class _Parser(argparse.ArgumentParser):
         super().error(re.sub(_ECHOED, lambda m: m[1] + brief(m[2]) + (m[3] or ""), message))
 
     def _print_message(self, message, file=None):
-        if not message:
-            return
         if file is None or file is sys.stderr:
             _warn(message)
         else:
@@ -205,7 +203,7 @@ def _json_int(text: str) -> int | str:
 
 
 def _shown_path(path: str) -> str:
-    return path if len(path) <= MAX_SHOWN_PATH else brief(path)
+    return path if len(path) <= MAX_SHOWN_PATH and path.isprintable() else brief(path)
 
 
 def _read_job(path: str) -> dict:
@@ -225,7 +223,7 @@ def _read_job(path: str) -> dict:
     return {key: value for key, value in data.items() if value is not None}
 
 
-def _common_bits(values: list[Fraction]) -> int:
+def _common_bits(values: tuple[Fraction, ...]) -> int:
     """Bit length of the integers that carry the values over one common denominator."""
     den = math.lcm(*(x.denominator for x in values))
     return max(den.bit_length(),
@@ -240,53 +238,32 @@ def _written_length(text: str) -> int:
     return len(text) + int(digits[:len(str(MAX_RATIONAL_CHARS)) + 1] or 0)
 
 
-def _require_input_budget(flag: ParabolicFlag, desc: dict,
-                          timed: bool) -> tuple[tuple[Fraction, ...], Fraction | None]:
-    """Parse the class (or divisor) and, if timed, the time or t-max-fraction; refuse a
-    class of the wrong length, or whose P_beta(t) would be too large, for one time or
-    summed over the samples; a value too long to carry fewer bits is refused unparsed."""
-    fields = ["divisor" if "divisor" in desc else "class"]
-    require_length(flag, desc[fields[0]])
-    if timed:
-        fields.append("t" if "t" in desc else "t_max_fraction")
-    size = 0
-    parsed = []
-    for key in fields:
-        values = desc.get(key, DEFAULT_T_MAX_FRACTION)
-        values = values if isinstance(values, list) else [values]
-        for text in map(str, values):
-            length = _written_length(text)
-            if length > MAX_RATIONAL_CHARS:
-                written = " once its decimal exponent is written out" * (length > len(text))
-                raise BudgetExceeded(
-                    f"--{key.replace('_', '-')}: a value of {len(text)} characters "
-                    f"is over the budget of {MAX_RATIONAL_CHARS}{written}")
-        parsed.append([parse_rational(x) for x in values])
-        size += _common_bits(parsed[-1])
-    names = " and ".join("--" + key.replace("_", "-") for key in fields)
-    if flag.n * size > MAX_INPUT_BITS:
-        raise BudgetExceeded(
-            f"{names}: n = {flag.n} times {size} bits is {flag.n * size} bits, "
-            f"over the budget of {MAX_INPUT_BITS}")
-    # a trajectory gets DEFAULT_SAMPLES samples at the per-time budget
-    samples = 1 if "t" in desc or not timed else desc.get("samples", DEFAULT_SAMPLES)
-    if samples * flag.n * size > DEFAULT_SAMPLES * MAX_INPUT_BITS:
-        raise BudgetExceeded(
-            f"--samples and {names}: {samples} samples times n = {flag.n} times {size} "
-            f"bits is {samples * flag.n * size} bits, over the budget of "
-            f"{DEFAULT_SAMPLES * MAX_INPUT_BITS}")
-    return tuple(parsed[0]), parsed[1][0] if timed else None
+def _parsed(key: str, values: list) -> tuple[Fraction, ...]:
+    """A field's rationals; a value too long to carry fewer bits than the budget is
+    refused unparsed."""
+    for text in map(str, values):
+        length = _written_length(text)
+        if length > MAX_RATIONAL_CHARS:
+            written = " once its decimal exponent is written out" * (length > len(text))
+            raise BudgetExceeded(
+                f"--{key.replace('_', '-')}: a value of {len(text)} characters "
+                f"is over the budget of {MAX_RATIONAL_CHARS}{written}")
+    return tuple(parse_rational(x) for x in values)
 
 
-def read_descriptor(args) -> tuple[dict, ParabolicFlag, tuple | None, Fraction | None]:
+def read_descriptor(args) -> tuple[dict, ParabolicFlag, tuple | None, Fraction | None,
+                                   int | None]:
     """The one validation point: flags or a --job object to (checked descriptor, flag
-    variety, exact class or divisor, exact time or t-max-fraction), None where unused.
+    variety, exact class or divisor, exact time or t-max-fraction, sample count), None
+    where unused.
 
     Both sources are read alike: list fields take a list or a comma-separated
     string, integer fields an integer or its decimal string, rational fields
     (and list elements) a string or an integer. Rationals are kept as given,
-    so the "input" echo shows them verbatim, and each is parsed once. A class,
-    divisor or time over the input budget is refused before any flow arithmetic.
+    so the "input" echo shows them verbatim, and each is parsed once. It also
+    prices the request: a class of the wrong length, or whose P_beta(t) would be
+    too large, for one time or summed over the samples, is refused before any flow
+    arithmetic.
     """
     given = {key: getattr(args, key, None) for key in DESCRIPTOR_KEYS}
     given = {key: value for key, value in given.items() if value is not None}
@@ -321,11 +298,30 @@ def read_descriptor(args) -> tuple[dict, ParabolicFlag, tuple | None, Fraction |
         raise UsageError("invariants requires --divisor")
     flag = build_flag(build_root_system(desc["lie_family"], desc["rank"]), desc["theta"])
     if args.command not in ("flow", "invariants"):
-        return desc, flag, None, None
-    b, time = _require_input_budget(flag, desc, timed=args.command == "flow")
-    if args.command == "flow" and "t" not in desc and not 0 < time < 1:
+        return desc, flag, None, None, None
+    key = "divisor" if "divisor" in desc else "class"
+    require_length(flag, desc[key])
+    b = _parsed(key, desc[key])
+    size, names, time, count = _common_bits(b), f"--{key}", None, None
+    if args.command == "flow":
+        key = "t" if "t" in desc else "t_max_fraction"
+        [time] = _parsed(key, [desc.get(key, DEFAULT_T_MAX_FRACTION)])
+        size += _common_bits((time,))
+        names += f" and --{key.replace('_', '-')}"
+        count = None if "t" in desc else desc.get("samples", DEFAULT_SAMPLES)
+    if flag.n * size > MAX_INPUT_BITS:
+        raise BudgetExceeded(
+            f"{names}: n = {flag.n} times {size} bits is {flag.n * size} bits, "
+            f"over the budget of {MAX_INPUT_BITS}")
+    # a trajectory gets DEFAULT_SAMPLES samples at the per-time budget
+    if count is not None and count * flag.n * size > DEFAULT_SAMPLES * MAX_INPUT_BITS:
+        raise BudgetExceeded(
+            f"--samples and {names}: {count} samples times n = {flag.n} times {size} "
+            f"bits is {count * flag.n * size} bits, over the budget of "
+            f"{DEFAULT_SAMPLES * MAX_INPUT_BITS}")
+    if count is not None and not 0 < time < 1:
         raise DomainError(f"t-max-fraction must lie in (0,1), got {brief(time)}")
-    return desc, flag, b, time
+    return desc, flag, b, time, count
 
 
 def _write(path: str, text: str) -> None:
@@ -439,11 +435,10 @@ def _dispatch(args) -> int:
         desc, result = {"seed": args.seed}, report.as_dict()
         code = 0 if report.exact_ok else 1
     else:
-        desc, flag, b, time = read_descriptor(args)
+        desc, flag, b, time, count = read_descriptor(args)
         if args.command == "describe":
             result = cmd_describe(flag)
         elif args.command == "flow":
-            count = None if "t" in desc else desc.get("samples", DEFAULT_SAMPLES)
             result = cmd_flow(flag, b, time, count)
         else:
             result = cmd_invariants(flag, b, args.lct_m)

@@ -22,10 +22,13 @@ class BudgetExceeded(DomainError):
 
 
 def brief(value) -> str:
-    """A value as a message shows it: in full when short, else by its size. Text
-    over 40 characters keeps its first 20; a number over 128 bits is shown by its
-    bit length, never by str(), which raises past 4300 digits."""
+    """A value as a message shows it: in full when short, else by its size. Text is
+    measured and cut as it prints, a non-printable character escaped as repr()
+    escapes it: over 40 characters it keeps its first 20. A number over 128 bits is
+    shown by its bit length, never by str(), which raises past 4300 digits."""
     if isinstance(value, str):
+        if not value.isprintable():
+            value = "".join(c if c.isprintable() else repr(c)[1:-1] for c in value)
         return value if len(value) <= 40 else f"{value[:20]}... ({len(value)} characters)"
     bits = sum(x.bit_length() for x in value.as_integer_ratio())
     return str(value) if bits <= 128 else f"<{bits}-bit number>"

@@ -99,7 +99,6 @@ def lct_lower(flag: ParabolicFlag, coeffs: DivisorClass, m: int) -> LctReport:
     scaled = tuple(Fraction(c) * m for c in coeffs)
     if not is_integral(scaled):
         raise DomainError(f"m*D is not integral for m = {brief(m)}")
-    require_ample(flag, scaled)
     c_md = script_C(flag, scaled)
     return LctReport(bound=Fraction(m) / c_md, klt=c_md < m, lc=c_md <= m)
 

@@ -343,9 +343,11 @@ def check_nef_consistency(flag: ParabolicFlag, coeffs) -> dict[str, CheckOutcome
         out["nef_brute_match"] = CheckOutcome(False, _counterexample(
             flag, d=coeffs, check="nef_brute_match", closed_form=tau, brute_force=found))
     fs = make_flow(flag, coeffs)
-    if fs.T != script_T(flag, coeffs) or fs.T * tau != 1:
+    closed_form = script_T(flag, coeffs)
+    if fs.T != closed_form or fs.T * tau != 1:
         out["flow_nef_consistency"] = CheckOutcome(False, _counterexample(
-            flag, d=coeffs, check="flow_nef_consistency", T=fs.T, one_over_tau=1 / tau))
+            flag, d=coeffs, check="flow_nef_consistency", T=fs.T, script_T=closed_form,
+            one_over_tau=1 / tau))
     out.setdefault("nef_brute_match", CheckOutcome(True))
     out.setdefault("flow_nef_consistency", CheckOutcome(True))
     return out
@@ -355,15 +357,18 @@ def check_scale_laws(flag: ParabolicFlag, coeffs, k: int) -> CheckOutcome:
     """tau(kD) = tau/k,  T(kD) = kT,  C(kD) = kC,  degree(kD) = k^n degree."""
     coeffs = tuple(Fraction(c) for c in coeffs)
     scaled = tuple(k * c for c in coeffs)
-    ok = (
-        nef_value(flag, scaled) == nef_value(flag, coeffs) / k
-        and script_T(flag, scaled) == k * script_T(flag, coeffs)
-        and script_C(flag, scaled) == k * script_C(flag, coeffs)
-        and degree(flag, scaled) == Fraction(k) ** flag.n * degree(flag, coeffs)
+    laws = (
+        ("tau(kD) = tau/k", nef_value(flag, scaled), nef_value(flag, coeffs) / k),
+        ("T(kD) = kT", script_T(flag, scaled), k * script_T(flag, coeffs)),
+        ("C(kD) = kC", script_C(flag, scaled), k * script_C(flag, coeffs)),
+        ("degree(kD) = k^n degree", degree(flag, scaled),
+         Fraction(k) ** flag.n * degree(flag, coeffs)),
     )
-    if ok:
-        return CheckOutcome(True)
-    return CheckOutcome(False, _counterexample(flag, d=coeffs, check="scale_laws", k=k))
+    for law, left, right in laws:
+        if left != right:
+            return CheckOutcome(False, _counterexample(
+                flag, d=coeffs, check="scale_laws", k=k, law=law, left=left, right=right))
+    return CheckOutcome(True)
 
 
 def check_weyl_gt_grid() -> CheckOutcome:

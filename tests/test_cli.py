@@ -555,6 +555,26 @@ def test_many_unknown_job_fields_are_counted_not_listed(capsys, tmp_path):
                         "['k00000', 'k00001', 'k00002'] and 99997 more\n")
 
 
+def test_non_printable_values_are_shown_as_they_print(capsys, tmp_path):
+    # a character that repr() escapes to ten was cut by characters and escaped (or not)
+    # afterwards: up to 2562 characters of stderr, and raw invisible text from --output
+    tag = "\U000e0001"
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({**{tag * 41 + k: 1 for k in "abc"}, tag * 40: 1}))
+    lost = "/nonexistent/" + tag * 240
+    for argv, code in [
+        (["describe", "--job", str(job)], 2),
+        (["describe", "--job", tag * 60], 2),
+        (["describe", "--job", lost], 2),
+        (["describe", *A2_FULL, "--output", lost], 2),
+        (["flow", *P1, "--class", "1", "--t", tag * 40], 3),
+    ]:
+        assert main(argv) == code, argv
+        out, err = capsys.readouterr()
+        assert out == "" and tag not in err, argv
+        assert len(err) < MAX_STDERR and len(err.encode()) < MAX_STDERR, (argv, len(err))
+
+
 def test_job_conflicts_exit_two(capsys, tmp_path):
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"lie_family": "A", "rank": 1}))

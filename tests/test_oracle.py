@@ -7,6 +7,7 @@ are known to compare two independently derived quantities.
 
 import bisect
 import dataclasses
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -439,6 +440,54 @@ def test_scale_laws_check():
 
 def test_weyl_gt_grid_small():
     assert check_weyl_gt_grid().passed
+
+
+def suite_fails_first_with(name: str) -> dict:
+    """run_suite on A2 reports a failure, and a counterexample of `name` first."""
+    rep = run_suite(SuiteConfig(types=(("A", 2),), classes_per_flag=1))
+    assert not rep.exact_ok and rep.checks[name]["fail"] > 0
+    first = rep.first_counterexample
+    assert first["check"] == name
+    json.dumps(first)
+    return first
+
+
+def test_a_wrong_flow_time_fails_nef_consistency_with_both_sides(monkeypatch):
+    closed_form = oracle.script_T
+    monkeypatch.setattr(oracle, "script_T", lambda flag, d: 2 * closed_form(flag, d))
+    p2 = build_flag(build_root_system("A", 2), (2,))
+    out = check_nef_consistency(p2, (Fraction(2),))
+    assert out["nef_brute_match"].passed and not out["flow_nef_consistency"].passed
+    ce = out["flow_nef_consistency"].counterexample
+    json.dumps(ce)
+    assert (ce["check"], ce["T"], ce["script_T"], ce["one_over_tau"]) == (
+        "flow_nef_consistency", "2/3", "4/3", "2/3")
+    first = suite_fails_first_with("flow_nef_consistency")
+    assert first["script_T"] != first["T"] == first["one_over_tau"]
+
+
+def test_a_wrong_degree_fails_the_scale_law_it_breaks(monkeypatch):
+    closed_form = oracle.degree
+    monkeypatch.setattr(oracle, "degree", lambda flag, d: closed_form(flag, d) + 1)
+    full = build_flag(build_root_system("A", 2), ())
+    outcome = check_scale_laws(full, (Fraction(1), Fraction(2)), 3)
+    assert not outcome.passed
+    ce = outcome.counterexample
+    json.dumps(ce)
+    assert (ce["check"], ce["k"], ce["law"]) == ("scale_laws", 3, "degree(kD) = k^n degree")
+    assert (ce["left"], ce["right"]) == ("487", "513")  # 27 * 18 + 1 against 27 * (18 + 1)
+    assert suite_fails_first_with("scale_laws")["law"] == "degree(kD) = k^n degree"
+
+
+def test_a_wrong_pattern_count_fails_the_weyl_gt_grid(monkeypatch):
+    count = oracle.gt_count
+    monkeypatch.setattr(oracle, "gt_count", lambda rs, weight: count(rs, weight) + 1)
+    outcome = check_weyl_gt_grid()
+    assert not outcome.passed
+    ce = outcome.counterexample
+    assert (ce["check"], ce["rank"], ce["weight"]) == ("weyl_gt_grid", 1, [0])
+    assert (ce["weyl_dim"], ce["gt_count"]) == (1, 2)
+    assert suite_fails_first_with("weyl_gt_grid") == ce
 
 
 def test_small_suite_passes_and_counts_instances():

@@ -69,6 +69,11 @@ def test_only_errors_and_the_cli_apply_the_digit_and_float_rules():
         assert "errors.py" in found and found <= files, (name, sorted(found))
 
 
+# a fresh process runs with -S: a site hook (a .pth file, sitecustomize) may import
+# modules of its own before flagflow, and the guards below measure flagflow alone
+FRESH = [sys.executable, "-S"]
+
+
 def fresh_env() -> dict:
     src = str(Path(flagflow.__file__).parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -78,7 +83,7 @@ def fresh_env() -> dict:
 def test_cli_import_leaves_out_csv():
     # csv served only --format csv; a fresh process shows what start-up imports
     code = "import sys, flagflow.cli; print('csv' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
+    out = subprocess.run([*FRESH, "-c", code], env=fresh_env(), capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out == "False\n"
 
@@ -90,7 +95,7 @@ def test_start_up_leaves_out_the_oracle_and_invariants():
     a2 = ["--type", "A", "--rank", "2"]
     for args in (["-c", "import flagflow.cli"], ["-m", "flagflow.cli", "describe", *a2],
                  ["-m", "flagflow.cli", "flow", *a2, "--class", "1,2"]):
-        err = subprocess.run([sys.executable, "-X", "importtime", *args], env=fresh_env(),
+        err = subprocess.run([*FRESH, "-X", "importtime", *args], env=fresh_env(),
                              capture_output=True, text=True, timeout=60, check=True).stderr
         loaded = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()}
         assert "flagflow.flow" in loaded, err[-300:]
@@ -105,7 +110,7 @@ def test_no_command_loads_dataclasses_or_inspect():
                  ["-m", "flagflow.cli", "flow", *a2, "--class", "1,2"],
                  ["-m", "flagflow.cli", "invariants", *a2, "--divisor", "1,1", "--lct-m", "1"],
                  ["-m", "flagflow.cli", "check", "--seed", "0"]):
-        err = subprocess.run([sys.executable, "-X", "importtime", *args], env=fresh_env(),
+        err = subprocess.run([*FRESH, "-X", "importtime", *args], env=fresh_env(),
                              capture_output=True, text=True, timeout=120, check=True).stderr
         loaded = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()}
         assert "flagflow.flow" in loaded, err[-300:]
