@@ -73,7 +73,7 @@ def parse_rational(text) -> Fraction:
         with all_digits():
             return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational number: {brief(text)!r}") from exc
+        raise DomainError(f"not a rational number: {brief(repr(text))}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,15 +211,17 @@ def _read_job(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh, parse_int=_json_int)
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        reason = exc  # an OSError's str() repeats the file name in repr()
         if isinstance(exc, OSError) and exc.filename is not None:
-            exc.filename = _shown_path(path)  # str(exc) repeats it
-        raise UsageError(f"cannot read job file: {exc}") from exc
+            reason = f"[Errno {exc.errno}] {exc.strerror}: {_shown_path(repr(path))}"
+        raise UsageError(f"cannot read job file: {reason}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"job file must hold a JSON object, got {type(data).__name__}")
     unknown = sorted(set(data) - set(DESCRIPTOR_KEYS))
     if unknown:
         more = f" and {len(unknown) - 3} more" if len(unknown) > 3 else ""
-        raise UsageError(f"unknown job fields: {[brief(name) for name in unknown[:3]]}{more}")
+        shown = ", ".join(brief(repr(name)) for name in unknown[:3])
+        raise UsageError(f"unknown job fields: [{shown}]{more}")
     return {key: value for key, value in data.items() if value is not None}
 
 
@@ -267,7 +269,7 @@ def read_descriptor(args) -> tuple[dict, ParabolicFlag, tuple | None, Fraction |
     """
     given = {key: getattr(args, key, None) for key in DESCRIPTOR_KEYS}
     given = {key: value for key, value in given.items() if value is not None}
-    if args.job:
+    if args.job is not None:
         if given:
             raise UsageError("--job cannot be combined with descriptor flags")
         desc = _read_job(args.job)
@@ -291,7 +293,7 @@ def read_descriptor(args) -> tuple[dict, ParabolicFlag, tuple | None, Fraction |
         if desc.get("samples", 1) > MAX_SAMPLES:
             raise BudgetExceeded(
                 f"--samples {brief(desc['samples'])} is over the budget of {MAX_SAMPLES}")
-        if args.format == "csv" and not args.output:
+        if args.format == "csv" and args.output is None:
             raise UsageError("--format csv requires --output "
                              "(the exact-value sidecar is written next to it)")
     if args.command == "invariants" and "divisor" not in desc:
@@ -448,7 +450,7 @@ def _dispatch(args) -> int:
     with all_digits():
         text = json.dumps({"input": desc, "result": result, "version": __version__},
                           indent=2, default=plain)
-    if output:
+    if output is not None:
         _write(output, text + "\n")
     else:
         print(text, flush=True)  # a closed stdout then raises inside main

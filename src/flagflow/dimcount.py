@@ -29,7 +29,7 @@ def _require_dominant_integral(rs: RootSystem, weight: Weight) -> tuple[int, ...
     coords = tuple(int(m) for m in weight)
     if coords != tuple(weight) or min(coords) < 0:
         raise DomainError(
-            f"weight {tuple(brief(Fraction(x)) for x in weight)} "
+            f"weight ({', '.join(brief(Fraction(x)) for x in weight)}) "
             "is not dominant integral")
     return coords
 

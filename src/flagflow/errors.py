@@ -9,6 +9,7 @@ normal_float() is the one float rule. all_digits() lifts the digit limit.
 """
 
 import contextlib
+import re
 import sys
 from fractions import Fraction
 
@@ -22,14 +23,17 @@ class BudgetExceeded(DomainError):
 
 
 def brief(value) -> str:
-    """A value as a message shows it: in full when short, else by its size. Text is
-    measured and cut as it prints, a non-printable character escaped as repr()
-    escapes it: over 40 characters it keeps its first 20. A number over 128 bits is
-    shown by its bit length, never by str(), which raises past 4300 digits."""
+    """A value as a message shows it: in full when short, else by its size. Text (a
+    value's repr() or text already rendered) is escaped once, as repr() escapes, and cut
+    as it prints: over 40 characters, to the whole characters and escapes in its first
+    20. A number over 128 bits shows its bit length; str() raises past 4300 digits."""
     if isinstance(value, str):
         if not value.isprintable():
             value = "".join(c if c.isprintable() else repr(c)[1:-1] for c in value)
-        return value if len(value) <= 40 else f"{value[:20]}... ({len(value)} characters)"
+        if len(value) <= 40:
+            return value
+        kept = re.match(r"(?:\\(?:x.{2}|u.{4}|U.{8}|[^xuU])|[^\\])*", value[:20])
+        return f"{kept[0]}... ({len(value)} characters)"
     bits = sum(x.bit_length() for x in value.as_integer_ratio())
     return str(value) if bits <= 128 else f"<{bits}-bit number>"
 

@@ -1,5 +1,6 @@
 """Command-line interface: document shapes, frozen values, exit codes."""
 
+import ast
 import csv
 import errno
 import gc
@@ -21,7 +22,7 @@ import flagflow.dimcount
 import flagflow.oracle as oracle
 from flagflow import cli
 from flagflow.cli import main
-from flagflow.errors import all_digits, normal_float, plain
+from flagflow.errors import all_digits, brief, normal_float, plain
 from test_cli_contract import MAX_STDERR
 
 P2 = ["--type", "A", "--rank", "2", "--theta", "2"]
@@ -540,7 +541,7 @@ def test_unknown_job_fields_are_named_briefly(capsys, tmp_path):
     job.write_text(json.dumps({"lie_family": "A", "rank": 2, "k" * 100_000: 1, "x": 2}))
     assert main(["describe", "--job", str(job)]) == 2
     assert capsys.readouterr().err.endswith(
-        "error: unknown job fields: ['kkkkkkkkkkkkkkkkkkkk... (100000 characters)', 'x']\n")
+        "error: unknown job fields: ['kkkkkkkkkkkkkkkkkkk... (100002 characters), 'x']\n")
 
 
 def test_many_unknown_job_fields_are_counted_not_listed(capsys, tmp_path):
@@ -557,22 +558,64 @@ def test_many_unknown_job_fields_are_counted_not_listed(capsys, tmp_path):
 
 def test_non_printable_values_are_shown_as_they_print(capsys, tmp_path):
     # a character that repr() escapes to ten was cut by characters and escaped (or not)
-    # afterwards: up to 2562 characters of stderr, and raw invisible text from --output
+    # afterwards: up to 2562 characters of stderr, and raw invisible text from --output.
+    # Then brief's output was escaped again by !r, a list's repr or an OSError's str(),
+    # and its cut could split an escape: '/nonexistent/\\U000e0... (2413 characters)'
     tag = "\U000e0001"
     job = tmp_path / "job.json"
     job.write_text(json.dumps({**{tag * 41 + k: 1 for k in "abc"}, tag * 40: 1}))
+    newline_job = tmp_path / "newline.json"
+    newline_job.write_text(json.dumps({"lie_family": "A", "rank": 2, "a\nb": 1}))
     lost = "/nonexistent/" + tag * 240
-    for argv, code in [
-        (["describe", "--job", str(job)], 2),
-        (["describe", "--job", tag * 60], 2),
-        (["describe", "--job", lost], 2),
-        (["describe", *A2_FULL, "--output", lost], 2),
-        (["flow", *P1, "--class", "1", "--t", tag * 40], 3),
+    cut = "'\\U000e0001... (402 characters)"
+    for argv, code, shown in [
+        (["describe", "--job", str(job)], 2, f"error: unknown job fields: [{cut}, "
+         "'\\U000e0001... (413 characters), '\\U000e0001... (413 characters)] and 1 more"),
+        (["describe", "--job", tag * 60], 2, "error: cannot read job file: [Errno 2] No such "
+         "file or directory: '\\U000e0001... (602 characters)"),
+        (["describe", "--job", lost], 2, "error: cannot read job file: [Errno 2] No such "
+         "file or directory: '/nonexistent/... (2415 characters)"),
+        (["describe", *A2_FULL, "--output", lost], 2,
+         "error: cannot write /nonexistent/... (2413 characters): No such file or directory"),
+        (["flow", *P1, "--class", "1", "--t", tag * 40], 3,
+         f"error: not a rational number: {cut}"),
+        (["describe", "--job", str(newline_job)], 2, "error: unknown job fields: ['a\\nb']"),
+        (["flow", *P1, "--class", "1/\n2"], 3, "error: not a rational number: '1/\\n2'"),
+        (["describe", *P1[:2], "--rank", "x" + tag * 30], 2,
+         "error: rank must be an integer, got 'x\\U000e0001... (303 characters)"),
+        (["describe", "--type", tag * 40], 2, f"error: argument --type: invalid choice: "
+         f"{cut} (choose from 'A', 'B', 'C', 'D', 'E', 'F', 'G')"),
+        (["check", "--seed", tag * 40], 2, f"error: argument --seed: invalid int value: {cut}"),
     ]:
-        assert main(argv) == code, argv
+        assert main(argv) == code, argv[:4]
         out, err = capsys.readouterr()
-        assert out == "" and tag not in err, argv
-        assert len(err) < MAX_STDERR and len(err.encode()) < MAX_STDERR, (argv, len(err))
+        assert out == "" and tag not in err and err.endswith(shown + "\n"), (argv[:4], err)
+        assert len(err) < MAX_STDERR and len(err.encode()) < MAX_STDERR, (argv[:4], len(err))
+
+
+def test_brief_keeps_whole_escapes_of_a_repr():
+    # the kept text is a prefix of repr() that ends between escapes, so it reads back,
+    # closed by its quote, as a prefix of the value; no escape is escaped again
+    for value in ["\U000e0001" * 40, "x" + "\U000e0001" * 30, "a" * 18 + "\\" + "b" * 30,
+                  "\x00" * 50, "é" * 50, "a\nb" * 20, "1/\n2" * 11, "q" * 41]:
+        text = repr(value)
+        shown = brief(text)
+        kept, length = re.fullmatch(r"(.*)\.\.\. \((\d+) characters\)", shown).groups()
+        assert int(length) == len(text) and text.startswith(kept), value[:5]
+        assert value.startswith(ast.literal_eval(kept + "'")) and 11 <= len(kept) <= 20, kept
+    assert brief(repr("\U000e0001" * 3)) == repr("\U000e0001" * 3)  # 32 characters
+    assert brief("a\nb") == "a\\nb" and brief(10 ** 38) == str(10 ** 38)
+
+
+def test_an_empty_path_is_a_path(capsys):
+    # an empty --output printed the document to stdout and exited 0, and an empty
+    # --job was read as no job
+    assert main(["describe", *P1, "--output", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: cannot write : No such file or directory\n")
+    assert main(["describe", "--job", ""]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: cannot read job file: [Errno 2] No such file or directory: ''\n")
 
 
 def test_job_conflicts_exit_two(capsys, tmp_path):
@@ -661,7 +704,7 @@ def test_domain_errors_exit_three(capsys, tmp_path):
         (["flow", *P1, "--class", "1", "--t", too_long],
          f"--t: a value of {len(too_long)} characters is over the budget"),
         (["flow", *P1, "--class", "1", "--t", "7" * 50 + "x"],
-         "not a rational number: '77777777777777777777... (51 characters)'"),
+         "not a rational number: '7777777777777777777... (53 characters)\n"),
         (["describe", "--type", "A", "--rank", nines[:3000]],
          "A<9967-bit number> has <19932-bit number> positive roots, over the budget"),
         (["describe", "--type", "D", "--rank", nines[:3000]],

@@ -112,7 +112,8 @@ def test_every_flag_and_job_field_keeps_the_exit_contract(tmp_path, monkeypatch)
         shown = f"{what}: {str(argv)[:120]}"
         assert code in EXIT_CODES, (shown, code, err[-300:])
         assert "Traceback" not in err, (shown, err[-300:])
-        assert len(err) < MAX_STDERR, (shown, len(err), err[-300:])
+        assert len(err) < MAX_STDERR and len(err.encode()) < MAX_STDERR, (
+            shown, len(err), len(err.encode()), err[-300:])
         assert seconds < MAX_SECONDS, (shown, seconds)
     assert count > 500
     assert {0, 2, 3} <= seen

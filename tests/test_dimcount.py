@@ -77,6 +77,11 @@ def test_weyl_dim_rejects_non_dominant_or_non_integral():
         weyl_dim(rs, (-1, 0))
     with pytest.raises(DomainError):
         weyl_dim(rs, (Fraction(1, 2), 0))
+    # the entries are shown as numbers; they were shown as the strings ('1', '-1')
+    with pytest.raises(DomainError, match=r"^weight \(1, -1\) is not dominant integral$"):
+        weyl_dim(rs, (1, -1))
+    with pytest.raises(DomainError, match=r"^weight \(1/2, <130-bit number>\) is not"):
+        weyl_dim(rs, (Fraction(1, 2), 2 ** 128))
 
 
 def test_gt_count_matches_weyl_dim_on_small_grid():

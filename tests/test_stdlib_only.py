@@ -69,6 +69,33 @@ def test_only_errors_and_the_cli_apply_the_digit_and_float_rules():
         assert "errors.py" in found and found <= files, (name, sorted(found))
 
 
+def test_a_brief_result_is_never_escaped_again():
+    # brief() escapes a value once: repr() of its result, a !r conversion, or a list or
+    # tuple of its results formatted by its repr() escapes that text a second time
+    def called(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None)
+
+    collections = (ast.List, ast.Tuple, ast.Set, ast.ListComp, ast.SetComp, ast.GeneratorExp)
+    found = []
+    for path in sorted(Path(flagflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if called(node) != "brief":
+                continue
+            shown, outer = node, parent[node]
+            if isinstance(outer, collections):
+                shown, outer = outer, parent[outer]
+                if called(outer) in ("list", "tuple", "set", "sorted"):
+                    shown, outer = outer, parent[outer]
+            formatted = isinstance(outer, ast.FormattedValue)
+            as_repr = called(outer) in ("repr", "ascii") or (
+                formatted and outer.conversion in (ord("r"), ord("a")))
+            if as_repr or shown is not node and (formatted or called(outer) == "str"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], found
+
+
 # a fresh process runs with -S: a site hook (a .pth file, sitecustomize) may import
 # modules of its own before flagflow, and the guards below measure flagflow alone
 FRESH = [sys.executable, "-S"]
