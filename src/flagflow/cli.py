@@ -8,12 +8,13 @@ cell) with an exact-value JSON sidecar next to it.
 Exit codes: 0 success, 1 failed verification suite, 2 usage error or
 closed or unwritable stdout, 3 domain rejection, 4 internal assertion failure.
 An error message that stderr cannot take is dropped; the exit code stays.
+Every write is flushed when made, so the process entry ends with os._exit.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
+import errno
 import json
 import math
 import os
@@ -57,14 +58,23 @@ class UsageError(Exception):
 
 
 def _warn(text: str) -> None:
-    """Write a message to stderr. A failed write is dropped, so that the exit code
-    still says what went wrong; stderr is then pointed at devnull, so that the
-    flush at interpreter exit cannot fail a second time."""
+    """Write a message to stderr and flush it. A failed write is dropped, so that
+    the exit code still says what went wrong."""
     try:
         sys.stderr.write(text)
         sys.stderr.flush()
-    except OSError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    except (AttributeError, OSError):  # AttributeError: fd 2 closed, sys.stderr None
+        pass
+
+
+def _print(text: str) -> None:
+    """Print a line to stdout and flush it. The line end is a write of its own: a
+    large write that the pipe's reader leaves part-way is cut short without an
+    error, and the next write raises. A closed fd 1, where sys.stdout is None,
+    fails as a write does."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    print(text, flush=True)
 
 
 def parse_rational(text) -> Fraction:
@@ -77,20 +87,16 @@ def parse_rational(text) -> Fraction:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse without its guard on writes: a failed write or flush of
-    --help or --version raises, so main sees a closed stdout, and messages
-    to stderr go through _warn. An offending value that an error message
-    repeats is shown through brief()."""
+    """argparse without its guard on writes: --help and --version go through
+    _print, so main sees a closed or failed stdout, and messages to stderr go
+    through _warn. An offending value that an error message repeats is shown
+    through brief()."""
 
     def error(self, message):
         super().error(re.sub(_ECHOED, lambda m: m[1] + brief(m[2]) + (m[3] or ""), message))
 
     def _print_message(self, message, file=None):
-        if file is None or file is sys.stderr:
-            _warn(message)
-        else:
-            file.write(message)
-            file.flush()
+        _print(message.removesuffix("\n")) if file is sys.stdout else _warn(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,7 +459,7 @@ def _dispatch(args) -> int:
     if output is not None:
         _write(output, text + "\n")
     else:
-        print(text, flush=True)  # a closed stdout then raises inside main
+        _print(text)
     return code
 
 
@@ -472,9 +478,7 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         # a job file or --output reports its own errors, so stdout failed: its
-        # reader is gone (said by exit code alone) or a write failed. Point it at
-        # devnull so that the flush at interpreter exit cannot fail a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # reader is gone (said by exit code alone), a write failed or fd 1 is closed
         if not isinstance(exc, BrokenPipeError):
             _warn(f"error: cannot write stdout: {exc.strerror}\n")
         return 2
@@ -484,16 +488,10 @@ def main(argv=None) -> int:
 
 
 def console_entry() -> None:
-    """The process entry of `flagflow` and `python -m flagflow.cli`.
-
-    The objects made at start-up (modules, classes, the parser) live until
-    exit. Frozen, the collector skips them, and interpreter exit neither walks
-    nor tears them down; objects made by the request are still collected.
-    Library imports and in-process calls of main() leave the collector as
-    they found it.
-    """
-    gc.freeze()
-    sys.exit(main())
+    """The process entry of `flagflow` and `python -m flagflow.cli`. main has
+    flushed all it wrote, so the process ends with main's exit code at once,
+    without the interpreter's teardown or a second flush of a failed stream."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

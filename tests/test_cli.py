@@ -1,6 +1,7 @@
 """Command-line interface: document shapes, frozen values, exit codes."""
 
 import ast
+import contextlib
 import csv
 import errno
 import gc
@@ -272,7 +273,83 @@ def test_full_stderr_keeps_the_exit_code(argv, code):
     assert (proc.returncode, proc.stdout) == (code, b"")
 
 
-def test_only_the_process_entry_freezes(capsys, monkeypatch):
+def test_a_closed_fd_one_is_a_failed_write(tmp_path):
+    """With fd 1 closed at start, sys.stdout is None: nothing can reach stdout."""
+    def run(argv, closed=(1,)):
+        return subprocess.run([sys.executable, "-m", "flagflow.cli", *argv],
+                              stdout=None, stderr=None if 2 in closed else subprocess.PIPE,
+                              env=process_env(), timeout=120,
+                              preexec_fn=lambda: [os.close(fd) for fd in closed])
+
+    line = b"error: cannot write stdout: " + os.strerror(errno.EBADF).encode() + b"\n"
+    for argv in (["describe", *A2_FULL], ["flow", *A2_FULL, "--class", "1,2", "--t", "0"],
+                 ["invariants", *A2_FULL, "--divisor", "1,2"], ["check", "--seed", "0"],
+                 ["--help"], ["--version"]):
+        proc = run(argv)
+        assert (proc.returncode, proc.stderr) == (2, line), argv
+    # with fd 2 closed too, sys.stderr is None and the message is dropped
+    assert run(["describe", *A2_FULL], closed=(1, 2)).returncode == 2
+    out = tmp_path / "out.json"
+    proc = run(["describe", *A2_FULL, "--output", str(out)])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(out.read_text())["result"]["n"] == 3
+
+
+def test_a_reader_that_leaves_mid_document_gets_exit_two():
+    # a document larger than a pipe holds, so the writer is blocked when the reader goes
+    proc = subprocess.Popen([sys.executable, "-m", "flagflow.cli", "describe", "--type", "A",
+                             "--rank", "40"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=process_env())
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(120), head, err) == (2, b'{\n  "input', b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_main_leaves_the_callers_streams_alone(monkeypatch):
+    """A failed write in process neither rewires nor closes the caller's descriptors."""
+    full = os.stat("/dev/full")
+    out, err = open("/dev/full", "w"), open("/dev/full", "w")
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", out)
+            patch.setattr(sys, "stderr", err)
+            assert main(["describe", *A2_FULL]) == 2
+            assert main(["describe", "--type", "Q"]) == 2
+        for stream in (out, err):
+            st = os.fstat(stream.fileno())
+            assert (st.st_dev, st.st_ino, st.st_rdev) == (full.st_dev, full.st_ino, full.st_rdev)
+    finally:
+        for stream in (out, err):  # their buffers still hold the bytes that failed
+            with contextlib.suppress(OSError):
+                stream.close()
+
+
+def test_the_process_writes_its_whole_output_before_it_exits(capsys, monkeypatch):
+    """The process entry ends with os._exit, which flushes nothing: argparse's own
+    output reaches the pipes whole, as main prints it in process."""
+    # argparse wraps help to the terminal's width; one width here and in the child
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def run(argv):
+        return subprocess.run([sys.executable, "-m", "flagflow.cli", *argv],
+                              capture_output=True, text=True, env=process_env(), timeout=120)
+
+    for argv in (["--help"], ["--version"], ["describe", "--help"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        proc = run(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, ""), argv
+    assert main(["describe", "--type", "Q"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: flagflow describe [-h]") and err.endswith("'G')\n")
+    proc = run(["describe", "--type", "Q"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+
+def test_the_process_entry_exits_with_mains_code_and_freezes_nothing(monkeypatch):
     # against the child's own count before the import: some interpreters start frozen
     code = ("import gc; before = gc.get_freeze_count(); import flagflow.cli; "
             "print(gc.get_freeze_count() - before, gc.isenabled())")
@@ -290,14 +367,14 @@ def test_only_the_process_entry_freezes(capsys, monkeypatch):
     finally:
         (gc.enable if enabled else gc.disable)()
 
-    seen = []
-    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.get_freeze_count()) or 0)
-    try:
-        with pytest.raises(SystemExit) as exc:
-            cli.console_entry()
-    finally:
-        gc.unfreeze()
-    assert exc.value.code == 0 and seen[0] > 0
+    exits = []
+    monkeypatch.setattr(cli.os, "_exit", exits.append)
+    before = gc.get_freeze_count()
+    for code in range(5):
+        monkeypatch.setattr(cli, "main", lambda: code)
+        cli.console_entry()
+    assert exits == [0, 1, 2, 3, 4]
+    assert gc.get_freeze_count() == before
 
 
 def test_flow_single_time_frozen_values(capsys):
