@@ -14,7 +14,9 @@ Every write is flushed when made, so the process entry ends with os._exit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
+import io
 import json
 import math
 import os
@@ -44,8 +46,13 @@ MAX_INPUT_BITS = 1 << 17
 MAX_RATIONAL_CHARS = MAX_INPUT_BITS
 # the longest file name most file systems allow; a longer path is shown by its size
 MAX_SHOWN_PATH = 255
-# the decimal exponent that ends a rational in Fraction's grammar, sign dropped
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+# a job file is read whole; A70's 70 rationals of MAX_RATIONAL_CHARS each take
+# about 9.2 MB, and a longer file is refused unread
+MAX_JOB_BYTES = 1 << 24
+# the one rational grammar, Python 3.11's Fraction grammar on every interpreter; group
+# 1 is the decimal exponent. Left uncompiled, as _ECHOED is
+_RATIONAL = (r"\s*[-+]?(?=\.?\d)\d*(?:_\d+)*"
+             r"(?:/\d+(?:_\d+)*|(?:\.(?:\d+(?:_\d+)*)?)?(?:[eE][-+]?(\d+(?:_\d+)*))?)\s*\Z")
 # the offending value where argparse's messages repeat one: a choice or a typed
 # value (in repr), the arguments left unrecognized or an ambiguous option; left
 # uncompiled, so that only a usage error pays for it
@@ -78,12 +85,12 @@ def _print(text: str) -> None:
 
 
 def parse_rational(text) -> Fraction:
-    """A rational of any length; read_descriptor has refused the over-long ones."""
-    try:
-        with all_digits():
-            return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational number: {brief(repr(text))}") from exc
+    """A rational in _RATIONAL's grammar, which Fraction reads alike on every interpreter
+    once the underscores go; read_descriptor has refused the over-long ones."""
+    if re.match(_RATIONAL, str(text)):
+        with contextlib.suppress(ZeroDivisionError), all_digits():
+            return Fraction(str(text).replace("_", "").strip())
+    raise DomainError(f"not a rational number: {brief(repr(text))}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,13 +221,18 @@ def _shown_path(path: str) -> str:
 
 def _read_job(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh, parse_int=_json_int)
+        with open(path, "rb") as fh:
+            raw = fh.read(MAX_JOB_BYTES + 1)
+        if len(raw) <= MAX_JOB_BYTES:  # read as a text file is: UTF-8, universal newlines
+            data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
+                             parse_int=_json_int)
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         reason = exc  # an OSError's str() repeats the file name in repr()
         if isinstance(exc, OSError) and exc.filename is not None:
             reason = f"[Errno {exc.errno}] {exc.strerror}: {_shown_path(repr(path))}"
         raise UsageError(f"cannot read job file: {reason}") from exc
+    if len(raw) > MAX_JOB_BYTES:
+        raise BudgetExceeded(f"--job: the file is over the budget of {MAX_JOB_BYTES} bytes")
     if not isinstance(data, dict):
         raise UsageError(f"job file must hold a JSON object, got {type(data).__name__}")
     unknown = sorted(set(data) - set(DESCRIPTOR_KEYS))
@@ -238,19 +250,14 @@ def _common_bits(values: tuple[Fraction, ...]) -> int:
                *(abs(x.numerator * (den // x.denominator)).bit_length() for x in values))
 
 
-def _written_length(text: str) -> int:
-    """len(text) with its decimal exponent written out, as Fraction does. Only the
-    exponent's first digits are read, one more than MAX_RATIONAL_CHARS has."""
-    exp = _EXPONENT.search(text)
-    digits = exp[1].replace("_", "").lstrip("0") if exp else ""
-    return len(text) + int(digits[:len(str(MAX_RATIONAL_CHARS)) + 1] or 0)
-
-
 def _parsed(key: str, values: list) -> tuple[Fraction, ...]:
-    """A field's rationals; a value too long to carry fewer bits than the budget is
-    refused unparsed."""
+    """A field's rationals, each priced before any is read: a value too long to carry
+    fewer bits than the budget, its decimal exponent written out, is refused unread."""
     for text in map(str, values):
-        length = _written_length(text)
+        match = len(text) <= MAX_RATIONAL_CHARS and re.match(_RATIONAL, text)
+        # the exponent's first digits, one more than MAX_RATIONAL_CHARS has, price it
+        exp = (match and match[1] or "").replace("_", "").lstrip("0")
+        length = len(text) + int(exp[:len(str(MAX_RATIONAL_CHARS)) + 1] or 0)
         if length > MAX_RATIONAL_CHARS:
             written = " once its decimal exponent is written out" * (length > len(text))
             raise BudgetExceeded(

@@ -40,7 +40,8 @@ def weyl_dim(rs: RootSystem, weight: Weight) -> int:
     roots = range(len(rs.positive_roots))
     value, rest = divmod(prod(pairing(rs, shifted, idx) for idx in roots),
                          prod(rho_pairing(rs, idx) for idx in roots))
-    assert rest == 0 and value > 0, "Weyl product did not reduce to a positive integer"
+    if rest or value <= 0:
+        raise AssertionError("Weyl product did not reduce to a positive integer")
     return value
 
 

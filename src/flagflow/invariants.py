@@ -110,7 +110,8 @@ def invariants_of(flag: ParabolicFlag, coeffs: DivisorClass) -> InvariantReport:
     lambda1_upper = None
     if is_integral(coeffs):
         dim_v = weyl_dim(flag.rs, char_of_divisor(flag, coeffs))
-        assert dim_v > 1, "ample class with a one-dimensional section space"
+        if dim_v <= 1:
+            raise AssertionError("ample class with a one-dimensional section space")
         lambda1_upper = Fraction(2 * flag.n * dim_v, dim_v - 1)
     borel = None
     if not flag.theta:

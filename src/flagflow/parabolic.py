@@ -78,17 +78,19 @@ def build_flag(rs: RootSystem, theta) -> ParabolicFlag:
         for i, c in enumerate(rs.positive_roots[idx]):
             total[i] += c
     delta_p = fund_coords(rs, tuple(total))
-    assert all(delta_p[i - 1] == 0 for i in th), \
-        "delta_P has support on Theta"
+    if any(delta_p[i - 1] for i in th):
+        raise AssertionError("delta_P has support on Theta")
     fano = tuple(delta_p[a - 1] for a in complement)
     a = tuple(pairing(rs, delta_p, idx) for idx in comp)
     # fano is a at the simple roots of the complement, so this covers it too
-    assert all(x > 0 for x in a), "delta_P does not pair positively with a complementary root"
+    if not all(x > 0 for x in a):
+        raise AssertionError("delta_P does not pair positively with a complementary root")
     rhos = [rho_pairing(rs, idx) for idx in comp]
     rho_product = math.prod(rhos)
     m, rest = divmod(math.prod(x + r for x, r in zip(a, rhos)), rho_product)
     # every a_beta > 0, so V(delta_P) is not trivial
-    assert rest == 0 and m > 1, "Weyl product over the complementary roots is not an integer > 1"
+    if rest or m <= 1:
+        raise AssertionError("Weyl product over the complementary roots is not an integer > 1")
     return ParabolicFlag(rs, th, complement, comp, delta_p, fano, len(comp), a, rho_product,
                          m, Fraction(2 * m, m - 1))
 

@@ -145,8 +145,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     roots, rows = zip(*_coroots(cartan).items())
     rs = RootSystem(family, rank, cartan, roots, rows)
     total = tuple(sum(k[i] for k in roots) for i in range(rank))
-    assert fund_coords(rs, total) == (2,) * rank, \
-        "sum of positive roots is not 2*rho in the fundamental-weight basis"
+    if fund_coords(rs, total) != (2,) * rank:
+        raise AssertionError(
+            "sum of positive roots is not 2*rho in the fundamental-weight basis")
     return rs
 
 

@@ -733,6 +733,40 @@ def test_deeply_nested_job_file_exits_two(capsys, tmp_path):
     assert "cannot read job file: maximum recursion depth exceeded" in err
 
 
+# runs `python ARGV` from a small process of its own and prints its exit code, CPU
+# seconds and ru_maxrss (KiB): a child's ru_maxrss counts the memory of the process
+# that started it, so the caller's own size would hide the child's
+USAGE_RUNNER = (
+    "import os, sys\n"
+    "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,"
+    " file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_utime + usage.ru_stime,"
+    " usage.ru_maxrss)\n")
+
+
+def test_a_job_file_over_the_byte_budget_is_refused_unread(tmp_path):
+    # a job file is read whole, so one byte over MAX_JOB_BYTES is refused before it is
+    # parsed: in the memory of the bytes read, not of the JSON they hold
+    job = tmp_path / "job.json"
+    cap = cli.MAX_JOB_BYTES
+    job.write_bytes(b'{"x": "' + b"a" * (cap - 8) + b'"}')
+    assert job.stat().st_size == cap + 1
+
+    def usage(*argv):
+        proc = subprocess.run([sys.executable, "-S", "-c", USAGE_RUNNER, "-m", "flagflow.cli",
+                               *argv], capture_output=True, text=True, env=process_env(),
+                              timeout=60)
+        code, cpu, maxrss = proc.stdout.split()
+        return int(code), float(cpu), int(maxrss), proc.stderr
+
+    code, cpu, maxrss, err = usage("describe", "--job", str(job))
+    assert (code, err) == (3, f"error: --job: the file is over the budget of {cap} bytes\n")
+    assert cpu < 1.0
+    *_, base_maxrss, _ = usage("describe", *P1)
+    assert maxrss - base_maxrss < (cap >> 10) + 8 * 1024, (maxrss, base_maxrss)
+
+
 def test_domain_errors_exit_three(capsys, tmp_path):
     assert main(["describe", "--type", "A", "--rank", "2", "--theta", "1,2"]) == 3
     assert main(["flow", *A2_FULL, "--class=-1,2"]) == 3
@@ -890,6 +924,22 @@ def test_internal_assertion_exits_four(capsys, monkeypatch):
     monkeypatch.setattr("flagflow.cli.build_root_system", boom)
     assert main(["describe", *P1]) == 4
     assert "internal assertion failed" in capsys.readouterr().err
+
+
+def test_internal_checks_survive_optimization():
+    # -O strips assert statements; the internal checks raise AssertionError themselves,
+    # so a broken invariant exits 4 there too, instead of printing a wrong value
+    for path in Path(flagflow.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+    script =("import sys; from flagflow import cli, parabolic; "
+              "parabolic.rho_pairing = lambda rs, idx: 7; "
+              "sys.exit(cli.main(['describe', '--type', 'A', '--rank', '2']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=process_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == ("internal assertion failed: Weyl product over the complementary "
+                           "roots is not an integer > 1\n")
 
 
 def test_plain_writes_exact_values_and_refuses_other_objects():

@@ -1,0 +1,42 @@
+"""tools/replay.py hashes what flagflow prints: the same requests hash alike twice, and a
+tree whose output differs by one byte hashes otherwise, with those requests named."""
+
+import importlib.util
+import shutil
+import sys
+from pathlib import Path
+
+import flagflow
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "replay.py"
+
+
+def load_replay():
+    spec = importlib.util.spec_from_file_location("replay", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_replay_hash_sees_one_byte_of_output(tmp_path):
+    replay = load_replay()
+    reqs = replay.requests()
+    # four golden requests and a refused grammar value, whose stderr shows no version
+    subset = reqs[:4] + [req for req in reqs if req[1][-1] == "--t=1__0"]
+    assert len(subset) == 5
+    src = str(Path(flagflow.__file__).parents[1])
+    first, second = (replay.run(sys.executable, src, subset) for _ in range(2))
+    assert replay.digest(first) == replay.digest(second)
+    assert replay.differing([first, second]) == []
+
+    # a copy whose version, printed in every document, differs in one byte
+    copy = tmp_path / "flagflow"
+    shutil.copytree(Path(flagflow.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    version = flagflow.__version__
+    bumped = version[:-1] + chr(ord(version[-1]) ^ 1)
+    init = copy / "__init__.py"
+    init.write_text(init.read_text().replace(f'"{version}"', f'"{bumped}"'))
+    changed = replay.run(sys.executable, str(tmp_path), subset)
+    assert replay.digest(changed) != replay.digest(first)
+    assert replay.differing([first, changed]) == [0, 1, 2, 3]
