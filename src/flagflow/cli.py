@@ -28,7 +28,7 @@ from . import __version__
 from .errors import BudgetExceeded, DomainError, all_digits, brief, normal_float, plain
 from .flow import bounds_report, class_at, diameter_bound, make_flow
 from .parabolic import ParabolicFlag, build_flag, canonical_divisor, require_length
-from .rootsys import build_root_system
+from .rootsys import MAX_POSITIVE_ROOTS, build_root_system
 
 # BoundsReport attributes under each flow sample's "bounds", in output order
 BOUND_KEYS = (
@@ -49,6 +49,9 @@ MAX_SHOWN_PATH = 255
 # a job file is read whole; A70's 70 rationals of MAX_RATIONAL_CHARS each take
 # about 9.2 MB, and a longer file is refused unread
 MAX_JOB_BYTES = 1 << 24
+# a list field has at most one entry per simple root: A70, whose r(r+1)/2 positive
+# roots are the fewest of any family of that rank, has the most simple roots admitted
+MAX_ENTRIES = (math.isqrt(8 * MAX_POSITIVE_ROOTS + 1) - 1) // 2
 # the one rational grammar, Python 3.11's Fraction grammar on every interpreter; group
 # 1 is the decimal exponent. Left uncompiled, as _ECHOED is
 _RATIONAL = (r"\s*[-+]?(?=\.?\d)\d*(?:_\d+)*"
@@ -168,12 +171,16 @@ def _integer(name: str, value) -> int:
 
 
 def _items(name: str, value) -> list:
+    """A list field's entries; more than MAX_ENTRIES are refused before any is typed."""
     if isinstance(value, str):
-        return [part.strip() for part in value.split(",") if part.strip()]
-    if isinstance(value, list):
-        return value
-    raise UsageError(
-        f"{name} must be a list or a comma-separated string, got {brief(repr(value))}")
+        value = [part.strip() for part in value.split(",") if part.strip()]
+    elif not isinstance(value, list):
+        raise UsageError(
+            f"{name} must be a list or a comma-separated string, got {brief(repr(value))}")
+    if len(value) > MAX_ENTRIES:
+        raise BudgetExceeded(
+            f"--{name}: a list of {len(value)} entries is over the budget of {MAX_ENTRIES}")
+    return value
 
 
 def _indices(name: str, value) -> list[int]:
@@ -204,7 +211,6 @@ READERS = {
     "samples": _integer,
     "t_max_fraction": _rational,
 }
-DESCRIPTOR_KEYS = ("lie_family", *READERS)
 
 
 def _json_int(text: str) -> int | str:
@@ -219,13 +225,18 @@ def _shown_path(path: str) -> str:
     return path if len(path) <= MAX_SHOWN_PATH and path.isprintable() else brief(path)
 
 
-def _read_job(path: str) -> dict:
+def _read_job(path: str, fields: list[str]) -> dict:
     try:
         with open(path, "rb") as fh:
             raw = fh.read(MAX_JOB_BYTES + 1)
         if len(raw) <= MAX_JOB_BYTES:  # read as a text file is: UTF-8, universal newlines
-            data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
-                             parse_int=_json_int)
+            text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+            try:  # _json_int only where needed: a call per integer would triple the time
+                data = json.loads(text)
+            except json.JSONDecodeError:
+                raise
+            except ValueError:  # an integer past Python's digit limit
+                data = json.loads(text, parse_int=_json_int)
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         reason = exc  # an OSError's str() repeats the file name in repr()
         if isinstance(exc, OSError) and exc.filename is not None:
@@ -235,7 +246,7 @@ def _read_job(path: str) -> dict:
         raise BudgetExceeded(f"--job: the file is over the budget of {MAX_JOB_BYTES} bytes")
     if not isinstance(data, dict):
         raise UsageError(f"job file must hold a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(DESCRIPTOR_KEYS))
+    unknown = sorted(set(data) - set(fields))
     if unknown:
         more = f" and {len(unknown) - 3} more" if len(unknown) > 3 else ""
         shown = ", ".join(brief(repr(name)) for name in unknown[:3])
@@ -270,7 +281,7 @@ def read_descriptor(args) -> tuple[dict, ParabolicFlag, tuple | None, Fraction |
                                    int | None]:
     """The one validation point: flags or a --job object to (checked descriptor, flag
     variety, exact class or divisor, exact time or t-max-fraction, sample count), None
-    where unused.
+    where unused. A job file takes only the fields of its command's flags.
 
     Both sources are read alike: list fields take a list or a comma-separated
     string, integer fields an integer or its decimal string, rational fields
@@ -280,12 +291,12 @@ def read_descriptor(args) -> tuple[dict, ParabolicFlag, tuple | None, Fraction |
     too large, for one time or summed over the samples, is refused before any flow
     arithmetic.
     """
-    given = {key: getattr(args, key, None) for key in DESCRIPTOR_KEYS}
-    given = {key: value for key, value in given.items() if value is not None}
+    fields = [key for key in vars(args) if key == "lie_family" or key in READERS]
+    given = {key: getattr(args, key) for key in fields if getattr(args, key) is not None}
     if args.job is not None:
         if given:
             raise UsageError("--job cannot be combined with descriptor flags")
-        desc = _read_job(args.job)
+        desc = _read_job(args.job, fields)
         desc.setdefault("theta", [])
     else:
         desc = {"lie_family": None, "rank": None, "theta": [], **given}

@@ -505,12 +505,14 @@ def test_job_file_is_equivalent_to_flags(capsys, tmp_path):
     from_flags = run_json(capsys, ["invariants", *P2, "--divisor", "1"])
     from_job = run_json(capsys, ["invariants", "--job", str(job)])
     assert from_flags["result"] == from_job["result"]
-    # flow fields in an invariants job are read, and neither priced nor used
+    # flow fields in an invariants job are refused, as their flags are
     job.write_text(json.dumps({
         "lie_family": "A", "rank": 2, "theta": [2], "divisor": ["1"],
         "class": ["1", "2"], "t_max_fraction": "2",
     }))
-    assert run_json(capsys, ["invariants", "--job", str(job)])["result"] == from_flags["result"]
+    assert main(["invariants", "--job", str(job)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: unknown job fields: ['class', 't_max_fraction']\n")
     # list fields take a comma-separated string in a job file too
     job.write_text(json.dumps({"lie_family": "A", "rank": 2, "class": "1,2", "t": "0"}))
     from_flags = run_json(capsys, ["flow", *A2_FULL, "--class", "1,2", "--t", "0"])
@@ -556,6 +558,7 @@ def test_usage_errors_exit_two(capsys):
     assert main(["invariants", *P2]) == 2
     assert main(["flow", *A2_FULL, "--class", "1,2", "--samples", "0"]) == 2
     assert main(["describe", "--type", "A", "--rank", "3", "--theta", "2,2"]) == 2
+    assert main(["describe", *P1, "--theta", ",".join(["1"] * 70)]) == 2  # 70 entries are read
     assert main(["describe", "--type", "A", "--rank", "2.7"]) == 2
     for fraction in ("abc", "7", "1/2"):
         assert main(["flow", *A2_FULL, "--class", "1,2", "--t", "1/4",
@@ -722,6 +725,23 @@ def test_job_conflicts_exit_two(capsys, tmp_path):
         job.write_text(json.dumps(bad))
         assert main(["flow", "--job", str(job)]) == 2, bad
         assert field in capsys.readouterr().err, bad
+    # a job takes the fields of its command's flags and refuses the others, as the
+    # flags do; a flow job takes all eight
+    values = {"theta": [1], "class": ["1", "2"], "divisor": ["1", "1"], "t": "0",
+              "samples": 2, "t_max_fraction": "1/2"}
+    for command, own in [("describe", {"theta"}), ("invariants", {"theta", "divisor"}),
+                         ("flow", set(values))]:
+        for field in values.keys() - own:
+            job.write_text(json.dumps({"lie_family": "A", "rank": 2, field: values[field]}))
+            assert main([command, "--job", str(job)]) == 2, (command, field)
+            assert capsys.readouterr().err.endswith(
+                f"error: unknown job fields: ['{field}']\n"), (command, field)
+            assert main([command, *A2_FULL, f"--{field.replace('_', '-')}=2"]) == 2
+            capsys.readouterr()
+        job.write_text(json.dumps({"lie_family": "A", "rank": 2,
+                                   **{field: values[field] for field in own}}))
+        main([command, "--job", str(job)])
+        assert "unknown job fields" not in capsys.readouterr().err, command
 
 
 def test_deeply_nested_job_file_exits_two(capsys, tmp_path):
@@ -745,6 +765,15 @@ USAGE_RUNNER = (
     " usage.ru_maxrss)\n")
 
 
+def usage(*argv):
+    """Exit code, CPU seconds, ru_maxrss (KiB) and stderr of `flagflow ARGV`."""
+    proc = subprocess.run([sys.executable, "-S", "-c", USAGE_RUNNER, "-m", "flagflow.cli",
+                           *argv], capture_output=True, text=True, env=process_env(),
+                          timeout=60)
+    code, cpu, maxrss = proc.stdout.split()
+    return int(code), float(cpu), int(maxrss), proc.stderr
+
+
 def test_a_job_file_over_the_byte_budget_is_refused_unread(tmp_path):
     # a job file is read whole, so one byte over MAX_JOB_BYTES is refused before it is
     # parsed: in the memory of the bytes read, not of the JSON they hold
@@ -753,18 +782,27 @@ def test_a_job_file_over_the_byte_budget_is_refused_unread(tmp_path):
     job.write_bytes(b'{"x": "' + b"a" * (cap - 8) + b'"}')
     assert job.stat().st_size == cap + 1
 
-    def usage(*argv):
-        proc = subprocess.run([sys.executable, "-S", "-c", USAGE_RUNNER, "-m", "flagflow.cli",
-                               *argv], capture_output=True, text=True, env=process_env(),
-                              timeout=60)
-        code, cpu, maxrss = proc.stdout.split()
-        return int(code), float(cpu), int(maxrss), proc.stderr
-
     code, cpu, maxrss, err = usage("describe", "--job", str(job))
     assert (code, err) == (3, f"error: --job: the file is over the budget of {cap} bytes\n")
     assert cpu < 1.0
     *_, base_maxrss, _ = usage("describe", *P1)
     assert maxrss - base_maxrss < (cap >> 10) + 8 * 1024, (maxrss, base_maxrss)
+
+
+def test_a_long_list_in_a_job_is_refused_by_its_length(tmp_path):
+    # an 11 MB job whose class lists 5592372 entries: flow read and typed every entry
+    # before its length was refused (2.2 s CPU, 112 MiB), and describe took, typed and
+    # echoed it (exit 0, 3.7-5.3 s CPU, 503 MiB, 50 MB of stdout)
+    job = tmp_path / "job.json"
+    count = 5_592_372
+    job.write_bytes(b'{"lie_family":"A","rank":1,"class":[' + b"1," * (count - 1) + b"1]}")
+    for command, code, shown in [
+        ("flow", 3, f"error: --class: a list of {count} entries is over the budget of 70\n"),
+        ("describe", 2, "error: unknown job fields: ['class']\n"),
+    ]:
+        got, cpu, _, err = usage(command, "--job", str(job))
+        assert (got, err[-len(shown):]) == (code, shown), (command, err[-300:])
+        assert cpu < 1.0, (command, cpu)
 
 
 def test_domain_errors_exit_three(capsys, tmp_path):
@@ -794,7 +832,17 @@ def test_domain_errors_exit_three(capsys, tmp_path):
     empty_job.write_text(json.dumps({"lie_family": "A", "rank": 2, "class": []}))
     long_family_job = tmp_path / "long_family.json"
     long_family_job.write_text(json.dumps({"lie_family": "Q" * 5000, "rank": 2}))
+    # a list field takes at most one entry per simple root of A70, the largest rank
+    assert cli.MAX_ENTRIES == 70
+    ones = ",".join(["1"] * 71)
+    long_divisor_job = tmp_path / "long_divisor.json"
+    long_divisor_job.write_text(json.dumps({"lie_family": "A", "rank": 2, "divisor": ones}))
     for argv, reason in [
+        # a list over the entry budget is refused by its length, before any entry is typed
+        (["flow", *P1, "--class", ones], "--class: a list of 71 entries is over the budget"),
+        (["describe", *P1, "--theta", ones], "--theta: a list of 71 entries is over"),
+        (["invariants", "--job", str(long_divisor_job)], "--divisor: a list of 71 entries"),
+        (["flow", *P1, "--class", ones[2:]], "70 coefficients given; expected 1"),
         # an empty class or divisor is refused by its length, before it is priced
         (["flow", *A2_FULL, "--class="], "0 coefficients given; expected 2"),
         (["flow", *A2_FULL, "--class", ","], "0 coefficients given; expected 2"),

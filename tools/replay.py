@@ -3,17 +3,20 @@
     python tools/replay.py [--python EXE]... [--src DIR]...
 
 Each request runs as `EXE -m flagflow.cli ARGV`, with DIR as PYTHONPATH, in a temporary
-working directory that holds the golden job file as job.json. Its record is the label,
-argv, exit code, stdout and stderr; check's one run-dependent line, "wall_time_s", is
-left out of stdout. Each interpreter and source tree (a run; by default this interpreter
-and this tree's src) prints one sha256 over its records. Then every request whose record
-differs between runs is listed by label and argv, and the exit code is 1.
+working directory that holds the golden job file as job.json and each file of JOBS. Its
+record is the label, argv, exit code, stdout and stderr; check's one run-dependent line,
+"wall_time_s", is left out of stdout. Each interpreter and source tree (a run; by default
+this interpreter and this tree's src) prints one sha256 over its records. Then every
+request whose record differs between runs is listed by label and argv, and the exit code
+is 1.
 
 The requests are, in order: the golden requests of tests/data, one cycle each of the
 cli-small and cli-large benchmark streams at seed 0 (imported from
-perfbench/workloads.py), check --seed 0, 1 and 2, and each value of the rational grammar
-table, tests/data/rational_grammar.json, as flow's --t. The tool needs only the standard
-library and runs on every interpreter that pyproject.toml admits.
+perfbench/workloads.py), check --seed 0, 1 and 2, each value of the rational grammar
+table, tests/data/rational_grammar.json, as flow's --t, and three refused requests: a
+describe and an invariants job that carry fields of other commands, and a flow class of
+71 entries. The tool needs only the standard library and runs on every interpreter that
+pyproject.toml admits.
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
 GOLDEN = [DATA / "cli_golden.json", DATA / "cli_golden_check.json"]
 GRAMMAR_REQUEST = ["flow", "--type", "A", "--rank", "1", "--class", "1"]
+# job files written beside the golden one: each carries fields its command does not take
+JOBS = {
+    "describe.json": {"lie_family": "A", "rank": 1, "class": ["1"], "t": "1/4"},
+    "invariants.json": {"lie_family": "A", "rank": 1, "divisor": ["1"], "samples": 2,
+                        "t_max_fraction": "1/2"},
+}
 
 
 def _golden() -> list[dict]:
@@ -52,6 +61,9 @@ def requests() -> list[tuple[str, list[str]]]:
     table = json.loads((DATA / "rational_grammar.json").read_text(encoding="utf-8"))
     out += [(f"grammar {i}", [*GRAMMAR_REQUEST, f"--t={case['text']}"])
             for i, case in enumerate(table)]
+    out += [("refused 0", ["describe", "--job", "describe.json"]),
+            ("refused 1", ["invariants", "--job", "invariants.json"]),
+            ("refused 2", [*GRAMMAR_REQUEST[:-1], ",".join(["1"] * 71)])]
     return out
 
 
@@ -61,7 +73,8 @@ def run(python: str, src: str, reqs: list[tuple[str, list[str]]]) -> list[str]:
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     records = []
     with tempfile.TemporaryDirectory() as cwd:
-        Path(cwd, "job.json").write_text(json.dumps(job))
+        for name, content in [("job.json", job), *JOBS.items()]:
+            Path(cwd, name).write_text(json.dumps(content))
         for label, argv in reqs:
             proc = subprocess.run([python, "-m", "flagflow.cli", *argv], cwd=cwd, env=env,
                                   capture_output=True, timeout=600)
