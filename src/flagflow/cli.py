@@ -28,7 +28,7 @@ from . import __version__
 from .errors import BudgetExceeded, DomainError, all_digits, brief, normal_float, plain
 from .flow import bounds_report, class_at, diameter_bound, make_flow
 from .parabolic import ParabolicFlag, build_flag, canonical_divisor, require_length
-from .rootsys import MAX_POSITIVE_ROOTS, build_root_system
+from .rootsys import MAX_POSITIVE_ROOTS, RANK_RANGE, build_root_system
 
 # BoundsReport attributes under each flow sample's "bounds", in output order
 BOUND_KEYS = (
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_descriptor(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--type", dest="lie_family", choices=list("ABCDEFG"),
+        p.add_argument("--type", dest="lie_family", choices=list(RANK_RANGE),
                        help="simple Lie family")
         p.add_argument("--rank", help="rank of the Lie family (an integer)")
         p.add_argument("--theta", default=None,
@@ -300,9 +300,12 @@ def read_descriptor(args) -> tuple[dict, ParabolicFlag, tuple | None, Fraction |
         desc.setdefault("theta", [])
     else:
         desc = {"lie_family": None, "rank": None, "theta": [], **given}
-    if not isinstance(desc.get("lie_family"), str) or desc.get("rank") is None:
+    if desc.get("lie_family") is None or desc.get("rank") is None:
         raise UsageError("--type and --rank are required "
                          "(in a job file: lie_family, a string, and rank)")
+    if desc["lie_family"] not in tuple(RANK_RANGE):  # a tuple compares a list, never hashes
+        raise UsageError(f"lie_family must be one of {', '.join(RANK_RANGE)}, "
+                         f"got {brief(repr(desc['lie_family']))}")
     for key, read in READERS.items():
         if key in desc:
             desc[key] = read(key, desc[key])

@@ -644,6 +644,8 @@ def test_non_printable_values_are_shown_as_they_print(capsys, tmp_path):
     tag = "\U000e0001"
     job = tmp_path / "job.json"
     job.write_text(json.dumps({**{tag * 41 + k: 1 for k in "abc"}, tag * 40: 1}))
+    family_job = tmp_path / "family.json"
+    family_job.write_text(json.dumps({"lie_family": tag * 40, "rank": 2}))
     newline_job = tmp_path / "newline.json"
     newline_job.write_text(json.dumps({"lie_family": "A", "rank": 2, "a\nb": 1}))
     lost = "/nonexistent/" + tag * 240
@@ -666,6 +668,8 @@ def test_non_printable_values_are_shown_as_they_print(capsys, tmp_path):
         (["describe", "--type", tag * 40], 2, f"error: argument --type: invalid choice: "
          f"{cut} (choose from 'A', 'B', 'C', 'D', 'E', 'F', 'G')"),
         (["check", "--seed", tag * 40], 2, f"error: argument --seed: invalid int value: {cut}"),
+        (["describe", "--job", str(family_job)], 2,
+         f"error: lie_family must be one of A, B, C, D, E, F, G, got {cut}"),
     ]:
         assert main(argv) == code, argv[:4]
         out, err = capsys.readouterr()
@@ -725,6 +729,15 @@ def test_job_conflicts_exit_two(capsys, tmp_path):
         job.write_text(json.dumps(bad))
         assert main(["flow", "--job", str(job)]) == 2, bad
         assert field in capsys.readouterr().err, bad
+    # a family outside A-G exits 2, as --type does; it exited 3 with "unknown family"
+    for family, shown in [("X", "'X'"), ("", "''"), ("a", "'a'"), (["A"], "['A']"),
+                          ({"A": 1}, "{'A': 1}"), (True, "True"),
+                          ("Q" * 5000, "'QQQQQQQQQQQQQQQQQQQ... (5002 characters)")]:
+        job.write_text(json.dumps({"lie_family": family, "rank": 2}))
+        for command in ("describe", "flow", "invariants"):
+            assert main([command, "--job", str(job)]) == 2, (command, family)
+            assert capsys.readouterr().err.endswith(
+                f"error: lie_family must be one of A, B, C, D, E, F, G, got {shown}\n")
     # a job takes the fields of its command's flags and refuses the others, as the
     # flags do; a flow job takes all eight
     values = {"theta": [1], "class": ["1", "2"], "divisor": ["1", "1"], "t": "0",
@@ -830,8 +843,6 @@ def test_domain_errors_exit_three(capsys, tmp_path):
     b8_flow = ["flow", "--type", "B", "--rank", "8", "--class", ",".join([str(2 ** 120)] * 8)]
     empty_job = tmp_path / "empty.json"
     empty_job.write_text(json.dumps({"lie_family": "A", "rank": 2, "class": []}))
-    long_family_job = tmp_path / "long_family.json"
-    long_family_job.write_text(json.dumps({"lie_family": "Q" * 5000, "rank": 2}))
     # a list field takes at most one entry per simple root of A70, the largest rank
     assert cli.MAX_ENTRIES == 70
     ones = ",".join(["1"] * 71)
@@ -882,8 +893,6 @@ def test_domain_errors_exit_three(capsys, tmp_path):
          "multiple m must be a positive integer (got <13289-bit number>)"),
         (["invariants", *P1, "--divisor", "1/3", "--lct-m", "1" + "0" * 3999],
          "m*D is not integral for m = <13286-bit number>"),
-        (["describe", "--job", str(long_family_job)],
-         "unknown family 'QQQQQQQQQQQQQQQQQQQ... (5002 characters)"),
         ([*b8_flow, "--samples", "161"],
          "--samples and --class and --t-max-fraction: 161 samples times n = 64 times 128 "
          "bits is 1318912 bits, over the budget of 1310720"),

@@ -1,6 +1,7 @@
 """Generated CLI contract: every subcommand x flag x hostile value class, given as a
 flag and, for the descriptor fields, in a --job file. Each request must exit 0-3
-within a time limit, with no traceback and a short stderr."""
+within a time limit, with no traceback and a short stderr, and a value must exit
+alike as its flag and as its job field."""
 
 import contextlib
 import functools
@@ -57,9 +58,14 @@ JOB_TEXTS["negative"] += ["-1", "-2.5"]
 JOB_TEXTS["decimal-exponent"] += ["1e3", "1e400", "NaN"]
 JOB_TEXTS["nested-json"] += ["[" * DEEP + "]" * DEEP, "[[1], 2]", '{"a": 1}', "true", "null"]
 JOB_TEXTS["valid"] += ["1", "2", "[1, 2]", '["1", "2"]', "[]"]
+# descriptor flag -> the job field that carries its value; --lct-m is a flag only
+JOB_FIELD_OF = {"--type": "lie_family", "--rank": "rank", "--theta": "theta",
+                "--class": "class", "--divisor": "divisor", "--t": "t",
+                "--samples": "samples", "--t-max-fraction": "t_max_fraction"}
 EXIT_CODES = {0, 1, 2, 3}
 MAX_STDERR = 700  # the longest usage text, flow's, is about 450 characters
 MAX_SECONDS = 2.0
+SEED = 20211
 
 
 def _run(argv):
@@ -73,9 +79,8 @@ def _run(argv):
     return code, err.getvalue(), time.perf_counter() - start
 
 
-def _requests(tmp_path):
-    """(argv, what) for every case, in a fixed order drawn from a fixed seed."""
-    rng = random.Random(20211)
+def _flag_requests(rng):
+    """(argv, what, flag, value) for every flag case, each value drawn from rng."""
     for command, (base, flags) in COMMANDS.items():
         for flag in flags:
             for name, values in VALUES.items():
@@ -84,7 +89,14 @@ def _requests(tmp_path):
                 if flag in argv:
                     del argv[argv.index(flag):argv.index(flag) + 2]
                 argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
-                yield argv, f"{command} {flag} {name}"
+                yield argv, f"{command} {flag} {name}", flag, value
+
+
+def _requests(tmp_path):
+    """(argv, what) for every case, in a fixed order drawn from a fixed seed."""
+    rng = random.Random(SEED)
+    for argv, what, *_ in _flag_requests(rng):
+        yield argv, what
     job = tmp_path / "job.json"
     for command, base in JOB_BASES.items():
         for field in JOB_FIELDS:
@@ -117,3 +129,19 @@ def test_every_flag_and_job_field_keeps_the_exit_contract(tmp_path, monkeypatch)
         assert seconds < MAX_SECONDS, (shown, seconds)
     assert count > 500
     assert {0, 2, 3} <= seen
+
+
+def test_a_value_exits_alike_as_its_flag_and_as_its_job_field(tmp_path):
+    # each drawn flag value, put into its field of the command's job object as the same
+    # JSON string, must exit with the flag's code: one validation point for both forms
+    job = tmp_path / "job.json"
+    differ = []
+    for argv, what, flag, value in _flag_requests(random.Random(SEED)):
+        command = argv[0]
+        if command not in JOB_BASES or flag not in JOB_FIELD_OF:
+            continue
+        job.write_text(json.dumps({**JOB_BASES[command], JOB_FIELD_OF[flag]: value}))
+        codes = _run(argv)[0], _run([command, "--job", str(job)])[0]
+        if codes[0] != codes[1]:
+            differ.append((what, value[:20], *codes))
+    assert differ == []

@@ -1,7 +1,9 @@
 """tools/replay.py hashes what flagflow prints: the same requests hash alike twice, and a
-tree whose output differs by one byte hashes otherwise, with those requests named."""
+tree whose output differs by one byte hashes otherwise, with those requests named. Its
+compare mode prints a change/base ratio per workload and metric."""
 
 import importlib.util
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -40,3 +42,24 @@ def test_the_replay_hash_sees_one_byte_of_output(tmp_path):
     changed = replay.run(sys.executable, str(tmp_path), subset)
     assert replay.digest(changed) != replay.digest(first)
     assert replay.differing([first, changed]) == [0, 1, 2, 3]
+
+
+def test_the_compare_mode_prints_a_ratio_per_workload_and_metric():
+    replay = load_replay()
+    src = str(Path(flagflow.__file__).parents[1])
+
+    def subset(workload, seed):  # three requests: two of cli-small, one of cli-large
+        return replay.cycle(workload, seed)[:2 if workload == "cli-small" else 1]
+
+    lines = replay.compare(sys.executable, src, src, 1, subset)
+    number = r"[0-9.e+-]+"
+    shapes = []
+    for workload, count in (("cli-small", 2), ("cli-large", 1)):
+        shapes.append(rf"{workload}: pairs 1, requests per tree {count}, "
+                      r"exited nonzero: base \d+, change \d+")
+        shapes += [rf"{workload} {metric}: base {number}, change {number}; change/base "
+                   rf"median {number}, quartiles {number}-{number}: unresolved"
+                   for metric in ("cpu_per_request_s", "peak_rss_mb")]
+    assert len(lines) == len(shapes), lines
+    for shape, line in zip(shapes, lines):
+        assert re.fullmatch(shape, line), line

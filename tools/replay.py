@@ -1,6 +1,8 @@
-"""Replay a fixed list of flagflow requests through fresh processes and hash what they print.
+"""Replay a fixed list of flagflow requests through fresh processes and hash what they print,
+or compare the CPU and peak memory of two source trees on the benchmark's requests.
 
     python tools/replay.py [--python EXE]... [--src DIR]...
+    python tools/replay.py [--python EXE] --base DIR --change DIR [--pairs N]
 
 Each request runs as `EXE -m flagflow.cli ARGV`, with DIR as PYTHONPATH, in a temporary
 working directory that holds the golden job file as job.json and each file of JOBS. Its
@@ -13,9 +15,24 @@ is 1.
 The requests are, in order: the golden requests of tests/data, one cycle each of the
 cli-small and cli-large benchmark streams at seed 0 (imported from
 perfbench/workloads.py), check --seed 0, 1 and 2, each value of the rational grammar
-table, tests/data/rational_grammar.json, as flow's --t, and three refused requests: a
-describe and an invariants job that carry fields of other commands, and a flow class of
-71 entries. The tool needs only the standard library and runs on every interpreter that
+table, tests/data/rational_grammar.json, as flow's --t, and six refused requests: a
+describe and an invariants job that carry fields of other commands, a flow class of 71
+entries, and a describe, a flow and an invariants job whose lie_family is "X", "" and
+"a".
+
+Compare mode runs N pairs (default 10). Pair k runs one cycle of the cli-small and of
+the cli-large stream at seed k in the --base and in the --change tree, base first in even
+pairs and change first in odd ones. Each request is its own `EXE -m flagflow.cli ARGV`
+process, run one at a time by a small `EXE -S` runner that reads its CPU time and
+ru_maxrss from os.wait4 (a child's ru_maxrss counts the memory of the process that starts
+it). The children inherit this environment, as the benchmark's do; with
+PYTHONDONTWRITEBYTECODE=1, trees without __pycache__ are measured with cold bytecode
+caches, as the benchmark measures them. Per workload the tool prints how many requests
+exited nonzero, and per metric (CPU per request, the cycle's peak RSS) each tree's median
+and the median change/base ratio with its quartiles, "unresolved" where they span 1 or
+there is one pair.
+
+The tool needs only the standard library and runs on every interpreter that
 pyproject.toml admits.
 """
 
@@ -27,6 +44,7 @@ import itertools
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -36,11 +54,32 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
 GOLDEN = [DATA / "cli_golden.json", DATA / "cli_golden_check.json"]
 GRAMMAR_REQUEST = ["flow", "--type", "A", "--rank", "1", "--class", "1"]
-# job files written beside the golden one: each carries fields its command does not take
+# job files written beside the golden one: the first two carry fields their command does
+# not take, the others a family outside A-G
 JOBS = {
     "describe.json": {"lie_family": "A", "rank": 1, "class": ["1"], "t": "1/4"},
     "invariants.json": {"lie_family": "A", "rank": 1, "divisor": ["1"], "samples": 2,
                         "t_max_fraction": "1/2"},
+    "describe-family.json": {"lie_family": "X", "rank": 2},
+    "flow-family.json": {"lie_family": "", "rank": 2, "class": ["1", "2"]},
+    "invariants-family.json": {"lie_family": "a", "rank": 2, "divisor": ["1", "1"]},
+}
+WORKLOADS = ("cli-small", "cli-large")
+# runs `python -m flagflow.cli ARGV` for each argv of the JSON list on stdin, one at a
+# time, and prints its exit code, CPU seconds and ru_maxrss (KiB) from os.wait4
+RUNNER = (
+    "import json, os, sys\n"
+    "quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]\n"
+    "for argv in json.load(sys.stdin):\n"
+    "    pid = os.posix_spawn(sys.executable, [sys.executable, '-m', 'flagflow.cli', *argv],"
+    " os.environ, file_actions=quiet)\n"
+    "    _, status, usage = os.wait4(pid, 0)\n"
+    "    print(os.waitstatus_to_exitcode(status), usage.ru_utime + usage.ru_stime,"
+    " usage.ru_maxrss)\n")
+# metric -> its value over one tree's run of a cycle, a list of (code, CPU s, KiB)
+METRICS = {
+    "cpu_per_request_s": lambda run: sum(cpu for _, cpu, _ in run) / len(run),
+    "peak_rss_mb": lambda run: max(kib for *_, kib in run) / 1024,
 }
 
 
@@ -48,22 +87,31 @@ def _golden() -> list[dict]:
     return [case for path in GOLDEN for case in json.loads(path.read_text())]
 
 
+def cycle(workload: str, seed: int) -> list[list[str]]:
+    """argv of each request of one cycle of a benchmark stream."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import cycle_length, stream
+    return [request.argv() for request in
+            itertools.islice(stream(workload, seed), cycle_length(workload))]
+
+
 def requests() -> list[tuple[str, list[str]]]:
     """(label, argv) of every request, in the order they run."""
     out = [(f"golden {i}", ["job.json" if arg == "JOB" else arg for arg in case["argv"]])
            for i, case in enumerate(_golden())]
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import cycle_length, stream
-    for workload in ("cli-small", "cli-large"):
-        cycle = itertools.islice(stream(workload, 0), cycle_length(workload))
-        out += [(f"{workload} {i}", request.argv()) for i, request in enumerate(cycle)]
+    for workload in WORKLOADS:
+        out += [(f"{workload} {i}", argv) for i, argv in enumerate(cycle(workload, 0))]
     out += [(f"check {seed}", ["check", "--seed", str(seed)]) for seed in range(3)]
     table = json.loads((DATA / "rational_grammar.json").read_text(encoding="utf-8"))
     out += [(f"grammar {i}", [*GRAMMAR_REQUEST, f"--t={case['text']}"])
             for i, case in enumerate(table)]
     out += [("refused 0", ["describe", "--job", "describe.json"]),
             ("refused 1", ["invariants", "--job", "invariants.json"]),
-            ("refused 2", [*GRAMMAR_REQUEST[:-1], ",".join(["1"] * 71)])]
+            ("refused 2", [*GRAMMAR_REQUEST[:-1], ",".join(["1"] * 71)]),
+            ("refused 3", ["describe", "--job", "describe-family.json"]),
+            ("refused 4", ["flow", "--job", "flow-family.json"]),
+            ("refused 5", ["invariants", "--job", "invariants-family.json"])]
     return out
 
 
@@ -94,6 +142,49 @@ def differing(runs: list[list[str]]) -> list[int]:
     return [i for i, records in enumerate(zip(*runs)) if len(set(records)) > 1]
 
 
+def measure(python: str, src: str, argvs: list[list[str]]) -> list[tuple[int, float, int]]:
+    """(exit code, CPU seconds, ru_maxrss in KiB) of each request, run by python on the
+    flagflow in src, one at a time."""
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([python, "-S", "-c", RUNNER], input=json.dumps(argvs),
+                              cwd=cwd, env=env, capture_output=True, text=True, check=True,
+                              timeout=600 * len(argvs))
+    return [(int(code), float(cpu), int(kib))
+            for code, cpu, kib in map(str.split, proc.stdout.splitlines())]
+
+
+def _quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
+def compare(python: str, base: str, change: str, pairs: int, cycles=cycle) -> list[str]:
+    """The compare mode's lines for the flagflow in base and in change; pair k runs
+    cycles(workload, k) of each workload in both trees."""
+    runs = {}  # (workload, side) -> one run of the cycle per pair
+    for pair in range(pairs):
+        for workload in WORKLOADS:
+            argvs = cycles(workload, pair)
+            order = [("base", base), ("change", change)]
+            for side, src in order if pair % 2 == 0 else order[::-1]:
+                runs.setdefault((workload, side), []).append(measure(python, src, argvs))
+    lines = []
+    for workload in WORKLOADS:
+        sides = runs[workload, "base"], runs[workload, "change"]
+        failed = [sum(code != 0 for run in side for code, *_ in run) for side in sides]
+        lines.append(f"{workload}: pairs {pairs}, requests per tree {sum(map(len, sides[0]))}"
+                     f", exited nonzero: base {failed[0]}, change {failed[1]}")
+        for name, metric in METRICS.items():
+            base_values, change_values = ([metric(run) for run in side] for side in sides)
+            q1, median, q3 = _quartiles([c / b for b, c in zip(base_values, change_values)])
+            verdict = ("unresolved" if pairs < 2 or q1 <= 1 <= q3 else
+                       "change lower" if q3 < 1 else "change higher")
+            lines.append(f"{workload} {name}: base {statistics.median(base_values):.4g}, "
+                         f"change {statistics.median(change_values):.4g}; change/base "
+                         f"median {median:.4f}, quartiles {q1:.4f}-{q3:.4f}: {verdict}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--python", action="append",
@@ -102,7 +193,22 @@ def main(argv=None) -> int:
     parser.add_argument("--src", action="append",
                         help="directory that holds the flagflow package (repeatable; "
                              "default: this tree's src)")
+    parser.add_argument("--base", metavar="DIR",
+                        help="compare mode: directory that holds the base flagflow package")
+    parser.add_argument("--change", metavar="DIR",
+                        help="compare mode: directory that holds the changed flagflow package")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="compare mode: number of pairs of runs (default 10)")
     args = parser.parse_args(argv)
+    if args.base is not None or args.change is not None:
+        if None in (args.base, args.change) or args.src or len(args.python or []) > 1:
+            parser.error("--base and --change go together, with no --src and one --python")
+        if args.pairs < 1:
+            parser.error("--pairs must be at least 1")
+        python = (args.python or [sys.executable])[0]
+        for line in compare(python, args.base, args.change, args.pairs):
+            print(line, flush=True)
+        return 0
     reqs = requests()
     runs = []
     for python, src in itertools.product(args.python or [sys.executable],
