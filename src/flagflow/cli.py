@@ -28,7 +28,7 @@ from . import __version__
 from .errors import BudgetExceeded, DomainError, all_digits, brief, normal_float, plain
 from .flow import bounds_report, class_at, diameter_bound, make_flow
 from .parabolic import ParabolicFlag, build_flag, canonical_divisor, require_length
-from .rootsys import MAX_POSITIVE_ROOTS, RANK_RANGE, build_root_system
+from .rootsys import RANK_RANGE, build_root_system
 
 # BoundsReport attributes under each flow sample's "bounds", in output order
 BOUND_KEYS = (
@@ -49,9 +49,8 @@ MAX_SHOWN_PATH = 255
 # a job file is read whole; A70's 70 rationals of MAX_RATIONAL_CHARS each take
 # about 9.2 MB, and a longer file is refused unread
 MAX_JOB_BYTES = 1 << 24
-# a list field has at most one entry per simple root: A70, whose r(r+1)/2 positive
-# roots are the fewest of any family of that rank, has the most simple roots admitted
-MAX_ENTRIES = (math.isqrt(8 * MAX_POSITIVE_ROOTS + 1) - 1) // 2
+# a list field has at most one entry per simple root of the largest rank admitted
+MAX_ENTRIES = max(hi for _, hi in RANK_RANGE.values())
 # the one rational grammar, Python 3.11's Fraction grammar on every interpreter; group
 # 1 is the decimal exponent. Left uncompiled, as _ECHOED is
 _RATIONAL = (r"\s*[-+]?(?=\.?\d)\d*(?:_\d+)*"

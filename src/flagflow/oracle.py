@@ -404,14 +404,16 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
     rng = random.Random(cfg.seed)
     start = time.monotonic()
     counts: dict[str, dict[str, int]] = {}
-    counterexamples: list[dict] = []
+    first: dict | None = None  # the first counterexample
     instances = 0
 
-    def record(name: str, outcome: CheckOutcome) -> None:
-        slot = counts.setdefault(name, {"pass": 0, "fail": 0})
-        slot["pass" if outcome.passed else "fail"] += 1
-        if outcome.counterexample is not None:
-            counterexamples.append(outcome.counterexample)
+    def record(**outcomes: CheckOutcome) -> None:
+        nonlocal first
+        for name, outcome in outcomes.items():
+            slot = counts.setdefault(name, {"pass": 0, "fail": 0})
+            slot["pass" if outcome.passed else "fail"] += 1
+            if first is None:
+                first = outcome.counterexample
 
     for family, rank in cfg.types:
         rs = build_root_system(family, rank)
@@ -425,22 +427,19 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
             for b in classes:
                 fs = make_flow(flag, b)
                 instances += 1
-                record("scalar_volume_identity", check_scalar_volume_identity(fs))
-                exact, fd = check_ricci_identity(fs)
-                record("ricci_identity_exact", exact)
-                record("ricci_identity_fd", fd)
-                for name, outcome in check_trajectory_bounds(fs).items():
-                    record(name, outcome)
+                record(scalar_volume_identity=check_scalar_volume_identity(fs),
+                       **dict(zip(("ricci_identity_exact", "ricci_identity_fd"),
+                                  check_ricci_identity(fs))),
+                       **check_trajectory_bounds(fs))
             divisor = tuple(
                 Fraction(rng.randint(1, MAX_COEFF)) for _ in flag.complement)
-            for name, outcome in check_nef_consistency(flag, divisor).items():
-                record(name, outcome)
-            record("scale_laws", check_scale_laws(flag, divisor, rng.randint(2, 4)))
+            record(**check_nef_consistency(flag, divisor),
+                   scale_laws=check_scale_laws(flag, divisor, rng.randint(2, 4)))
 
-    record("weyl_gt_grid", check_weyl_gt_grid())
+    record(weyl_gt_grid=check_weyl_gt_grid())
     return SuiteReport(
         checks=counts,
-        first_counterexample=next(iter(counterexamples), None),
+        first_counterexample=first,
         instances=instances,
         wall_time_s=time.monotonic() - start,
     )

@@ -20,43 +20,35 @@ import functools
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import BudgetExceeded, DomainError, brief
+from .errors import DomainError, brief
 
 Root = tuple[int, ...]
 Weight = tuple[int | Fraction, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
-# family -> (min rank, max rank or None for unbounded)
+# family -> (min rank, max rank); each classical family stops at its last rank with at
+# most 2500 positive roots: A70 (r(r+1)/2), B50 and C50 (r^2), D50 (r(r-1)); E8 has 120
 RANK_RANGE = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (3, None),
-    "D": (4, None),
+    "A": (1, 70),
+    "B": (2, 50),
+    "C": (3, 50),
+    "D": (4, 50),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
 }
-# A70, B50, C50 and D50 are the largest classical types admitted; E8 has 120
-MAX_POSITIVE_ROOTS = 2500
 # E8's highest root has the largest coefficient of any finite-type root
 MAX_ROOT_COEFF = 6
 
 
 def validate_type(family: str, rank: int) -> None:
-    """Reject (family, rank) pairs outside the classification or the size budget."""
+    """Reject (family, rank) pairs outside RANK_RANGE, naming the admitted ranks."""
     if family not in RANK_RANGE:
         raise DomainError(f"unknown family {brief(repr(family))}; expected one of A-G")
     lo, hi = RANK_RANGE[family]
-    if rank < lo or (hi is not None and rank > hi):
-        bound = f"rank >= {lo}" if hi is None else (
-            f"rank in {{{lo}}}" if lo == hi else f"rank in {{{lo},...,{hi}}}")
-        raise DomainError(f"family {family} requires {bound} (got {brief(rank)})")
-    count = {"A": rank * (rank + 1) // 2, "B": rank * rank, "C": rank * rank,
-             "D": rank * (rank - 1)}.get(family, 0)
-    if count > MAX_POSITIVE_ROOTS:
-        raise BudgetExceeded(
-            f"{family}{brief(rank)} has {brief(count)} positive roots, over the budget of "
-            f"{MAX_POSITIVE_ROOTS}")
+    if not lo <= rank <= hi:
+        bound = f"{{{lo}}}" if lo == hi else f"{{{lo},...,{hi}}}"
+        raise DomainError(f"family {family} requires rank in {bound} (got {brief(rank)})")
 
 
 def cartan_matrix(family: str, rank: int) -> Matrix:

@@ -766,6 +766,25 @@ def test_deeply_nested_job_file_exits_two(capsys, tmp_path):
     assert "cannot read job file: maximum recursion depth exceeded" in err
 
 
+@pytest.mark.parametrize("raw,reason", [
+    (b'{"lie_family": "A", "rank": ', "Expecting value: line 1 column 29 (char 28)"),
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b'\xef\xbb\xbf{"lie_family": "A", "rank": 2}',
+     "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    # read with universal newlines, each CRLF is one character: a decode of the raw
+    # bytes would report char 48
+    (b'{\r\n"lie_family": "A",\r\n"rank": 12, "theta": [11,',
+     "Expecting value: line 3 column 26 (char 46)"),
+], ids=["truncated", "empty", "bom", "byte-ff", "crlf"])
+def test_a_malformed_job_file_exits_two_with_one_line(capsys, tmp_path, raw, reason):
+    job = tmp_path / "job.json"
+    job.write_bytes(raw)
+    assert main(["describe", "--job", str(job)]) == 2
+    usage, *rest = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: ")
+    assert rest == [f"flagflow: error: cannot read job file: {reason}"]
+
 # runs `python ARGV` from a small process of its own and prints its exit code, CPU
 # seconds and ru_maxrss (KiB): a child's ru_maxrss counts the memory of the process
 # that started it, so the caller's own size would hide the child's
@@ -859,8 +878,10 @@ def test_domain_errors_exit_three(capsys, tmp_path):
         (["flow", *A2_FULL, "--class", ","], "0 coefficients given; expected 2"),
         (["invariants", *A2_FULL, "--divisor", ","], "0 coefficients given; expected 2"),
         (["flow", "--job", str(empty_job)], "0 coefficients given; expected 2"),
-        (["describe", "--type", "A", "--rank", "1000000"], "positive roots, over the budget"),
-        (["describe", "--type", "D", "--rank", "51"], "positive roots, over the budget"),
+        (["describe", "--type", "A", "--rank", "1000000"],
+         "family A requires rank in {1,...,70} (got 1000000)"),
+        (["describe", "--type", "D", "--rank", "51"],
+         "family D requires rank in {4,...,50} (got 51)"),
         (["flow", *P1, "--class", "1", "--samples", "10001"], "--samples 10001 is over"),
         (["flow", *A2_FULL, "--class", "1,2", "--t", "abc"], "not a rational number"),
         (["flow", *b16, "--t", "0", "--class", ",".join([past_budget] * 16)],
@@ -876,9 +897,9 @@ def test_domain_errors_exit_three(capsys, tmp_path):
         (["flow", *P1, "--class", "1", "--t", "7" * 50 + "x"],
          "not a rational number: '7777777777777777777... (53 characters)\n"),
         (["describe", "--type", "A", "--rank", nines[:3000]],
-         "A<9967-bit number> has <19932-bit number> positive roots, over the budget"),
+         "family A requires rank in {1,...,70} (got <9967-bit number>)"),
         (["describe", "--type", "D", "--rank", nines[:3000]],
-         "D<9967-bit number> has <19933-bit number> positive roots, over the budget"),
+         "family D requires rank in {4,...,50} (got <9967-bit number>)"),
         (["flow", *P1, "--class", "1", "--t", "-" + nines], "negative time t = <16611-bit number>"),
         (["flow", *P1, "--class", "1", "--t", nines],
          "past singular time: t = <16611-bit number>, T = 1/2"),

@@ -1,8 +1,9 @@
-"""tools/replay.py hashes what flagflow prints: the same requests hash alike twice, and a
-tree whose output differs by one byte hashes otherwise, with those requests named. Its
-compare mode prints a change/base ratio per workload and metric."""
+"""tools/replay.py hashes what flagflow prints and writes: the same requests hash alike
+twice, and a tree whose output or written files differ by one byte hashes otherwise, with
+those requests named. Its compare mode prints a change/base ratio per workload and metric."""
 
 import importlib.util
+import json
 import re
 import shutil
 import sys
@@ -42,6 +43,30 @@ def test_the_replay_hash_sees_one_byte_of_output(tmp_path):
     changed = replay.run(sys.executable, str(tmp_path), subset)
     assert replay.digest(changed) != replay.digest(first)
     assert replay.differing([first, changed]) == [0, 1, 2, 3]
+
+
+def test_the_replay_hash_sees_one_byte_of_a_written_file(tmp_path):
+    replay = load_replay()
+    written = [req for req in replay.requests() if req[0].startswith("written")]
+    src = str(Path(flagflow.__file__).parents[1])
+    first = replay.run(sys.executable, src, written)
+    # the CSV, its JSON sidecar and the describe document, and nothing on stdout
+    assert [sorted(json.loads(record)[-1]) for record in first] == [
+        ["traj.csv", "traj.csv.json"], ["describe-out.json"]]
+    assert all(json.loads(record)[3] == "" for record in first)
+
+    # a copy whose every written file has its last byte changed
+    copy = tmp_path / "flagflow"
+    shutil.copytree(Path(flagflow.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = copy / "cli.py"
+    source = cli.read_text()
+    assert source.count("fh.write(text)") == 1
+    cli.write_text(source.replace("fh.write(text)",
+                                  "fh.write(text[:-1] + chr(ord(text[-1]) ^ 1))"))
+    changed = replay.run(sys.executable, str(tmp_path), written)
+    assert replay.digest(changed) != replay.digest(first)
+    assert replay.differing([first, changed]) == [0, 1]
 
 
 def test_the_compare_mode_prints_a_ratio_per_workload_and_metric():

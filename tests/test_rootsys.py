@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flagflow import (
-    BudgetExceeded,
     DomainError,
     build_root_system,
     fund_coords,
@@ -180,11 +179,31 @@ def test_cartan_matrix_and_root_count_match_sympy(name):
     assert len(rs.positive_roots) == len(cartan_type.positive_roots())
 
 
-@pytest.mark.parametrize("family,rank", [("A", 70), ("B", 50), ("C", 50), ("D", 50)])
-def test_positive_root_budget_admits_rank_and_refuses_the_next(family, rank):
-    validate_type(family, rank)
-    with pytest.raises(BudgetExceeded, match=f"{family}{rank + 1} has .* over the budget"):
-        validate_type(family, rank + 1)
+# family -> (lo, hi), the admitted ranks, and the closed-form count of positive roots
+ADMITTED = {
+    "A": (1, 70, lambda r: r * (r + 1) // 2), "B": (2, 50, lambda r: r * r),
+    "C": (3, 50, lambda r: r * r), "D": (4, 50, lambda r: r * (r - 1)),
+    "E": (6, 8, None), "F": (4, 4, None), "G": (2, 2, None),
+}
+
+
+@pytest.mark.parametrize("family", ADMITTED)
+def test_each_family_admits_exactly_its_rank_range(family):
+    lo, hi, _ = ADMITTED[family]
+    shown = f"{{{lo}}}" if lo == hi else f"{{{lo},...,{hi}}}"
+    for rank in (lo, hi):
+        validate_type(family, rank)
+    for rank in (lo - 1, hi + 1):
+        with pytest.raises(DomainError) as refused:
+            validate_type(family, rank)
+        assert str(refused.value) == f"family {family} requires rank in {shown} (got {rank})"
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_the_largest_classical_ranks_keep_within_2500_positive_roots(family):
+    _, hi, count = ADMITTED[family]
+    assert len(build_root_system(family, hi).positive_roots) == count(hi) <= 2500
+    assert count(hi + 1) > 2500
 
 
 def test_construction_is_deterministic():

@@ -1,24 +1,27 @@
-"""Replay a fixed list of flagflow requests through fresh processes and hash what they print,
-or compare the CPU and peak memory of two source trees on the benchmark's requests.
+"""Replay a fixed list of flagflow requests through fresh processes and hash what they print
+and write, or compare the CPU and peak memory of two source trees on the benchmark's requests.
 
     python tools/replay.py [--python EXE]... [--src DIR]...
     python tools/replay.py [--python EXE] --base DIR --change DIR [--pairs N]
 
 Each request runs as `EXE -m flagflow.cli ARGV`, with DIR as PYTHONPATH, in a temporary
 working directory that holds the golden job file as job.json and each file of JOBS. Its
-record is the label, argv, exit code, stdout and stderr; check's one run-dependent line,
-"wall_time_s", is left out of stdout. Each interpreter and source tree (a run; by default
-this interpreter and this tree's src) prints one sha256 over its records. Then every
-request whose record differs between runs is listed by label and argv, and the exit code
-is 1.
+record is the label, argv, exit code, stdout, stderr and the sha256 of each file the
+request creates there, by name; check's one run-dependent line, "wall_time_s", is left out
+of stdout, and the files are removed once hashed. Each interpreter and source tree (a run;
+by default this interpreter and this tree's src) prints one sha256 over its records. Then
+every request whose record differs between runs is listed by label and argv, an argument
+of more than 40 characters by its length, and the exit code is 1.
 
 The requests are, in order: the golden requests of tests/data, one cycle each of the
 cli-small and cli-large benchmark streams at seed 0 (imported from
 perfbench/workloads.py), check --seed 0, 1 and 2, each value of the rational grammar
-table, tests/data/rational_grammar.json, as flow's --t, and six refused requests: a
-describe and an invariants job that carry fields of other commands, a flow class of 71
-entries, and a describe, a flow and an invariants job whose lie_family is "X", "" and
-"a".
+table, tests/data/rational_grammar.json, as flow's --t, eleven refused requests and two that
+write files. The refused ones are a describe and an invariants job that carry fields of
+other commands, a flow class of 71 entries, a describe, a flow and an invariants job whose
+lie_family is "X", "" and "a", and describe at A0, A71, D51, E9 and a 3000-digit A rank.
+The writing ones are a flow to a CSV file, which writes its JSON sidecar too, and a
+describe to a JSON file.
 
 Compare mode runs N pairs (default 10). Pair k runs one cycle of the cli-small and of
 the cli-large stream at seed k in the --base and in the --change tree, base first in even
@@ -112,6 +115,13 @@ def requests() -> list[tuple[str, list[str]]]:
             ("refused 3", ["describe", "--job", "describe-family.json"]),
             ("refused 4", ["flow", "--job", "flow-family.json"]),
             ("refused 5", ["invariants", "--job", "invariants-family.json"])]
+    out += [(f"refused {i}", ["describe", "--type", family, "--rank", rank])
+            for i, (family, rank) in enumerate(
+                [("A", "0"), ("A", "71"), ("D", "51"), ("E", "9"), ("A", "9" * 3000)], 6)]
+    out += [("written 0", ["flow", "--type", "B", "--rank", "3", "--class", "1/2,2,3/5",
+                           "--samples", "3", "--format", "csv", "--output", "traj.csv"]),
+            ("written 1", ["describe", "--type", "B", "--rank", "3", "--output",
+                           "describe-out.json"])]
     return out
 
 
@@ -123,13 +133,19 @@ def run(python: str, src: str, reqs: list[tuple[str, list[str]]]) -> list[str]:
     with tempfile.TemporaryDirectory() as cwd:
         for name, content in [("job.json", job), *JOBS.items()]:
             Path(cwd, name).write_text(json.dumps(content))
+        before = set(os.listdir(cwd))
         for label, argv in reqs:
             proc = subprocess.run([python, "-m", "flagflow.cli", *argv], cwd=cwd, env=env,
                                   capture_output=True, timeout=600)
             out, err = (data.decode("utf-8", "surrogateescape")
                         for data in (proc.stdout, proc.stderr))
             out = re.sub(r'^ *"wall_time_s": .*\n', "", out, flags=re.M)
-            records.append(json.dumps([label, argv, proc.returncode, out, err]))
+            files = {}
+            for name in sorted(set(os.listdir(cwd)) - before):
+                path = Path(cwd, name)
+                files[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+                path.unlink()
+            records.append(json.dumps([label, argv, proc.returncode, out, err, files]))
     return records
 
 
@@ -218,7 +234,8 @@ def main(argv=None) -> int:
     differ = differing(runs)
     for i in differ:
         label, request = reqs[i]
-        print(f"differs: {label}: {request}")
+        shown = [arg if len(arg) <= 40 else f"<{len(arg)} characters>" for arg in request]
+        print(f"differs: {label}: {shown}")
     return 1 if differ else 0
 
 
