@@ -46,11 +46,10 @@ MAX_INPUT_BITS = 1 << 17
 MAX_RATIONAL_CHARS = MAX_INPUT_BITS
 # the longest file name most file systems allow; a longer path is shown by its size
 MAX_SHOWN_PATH = 255
-# a job file is read whole; A70's 70 rationals of MAX_RATIONAL_CHARS each take
-# about 9.2 MB, and a longer file is refused unread
-MAX_JOB_BYTES = 1 << 24
-# a list field has at most one entry per simple root of the largest rank admitted
-MAX_ENTRIES = max(hi for _, hi in RANK_RANGE.values())
+# a job file is read whole, and a longer one is refused unread: room for one value of
+# the longest admitted length and as much again for the rest. A flag needs no cap of
+# its own, as Linux caps one argument at 128 KiB
+MAX_JOB_BYTES = 2 * MAX_RATIONAL_CHARS
 # the one rational grammar, Python 3.11's Fraction grammar on every interpreter; group
 # 1 is the decimal exponent. Left uncompiled, as _ECHOED is
 _RATIONAL = (r"\s*[-+]?(?=\.?\d)\d*(?:_\d+)*"
@@ -163,22 +162,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _integer(name: str, value) -> int:
     try:
         if isinstance(value, (int, str)) and not isinstance(value, bool):
-            return int(value)
+            with all_digits():  # at any length: the job cap and the argument limit bound it
+                return int(value)
     except ValueError:
         pass
     raise UsageError(f"{name} must be an integer, got {brief(repr(value))}")
 
 
 def _items(name: str, value) -> list:
-    """A list field's entries; more than MAX_ENTRIES are refused before any is typed."""
+    """A list field's entries, a list or a comma-separated string; the job file's byte
+    cap and the argument limit bound their count."""
     if isinstance(value, str):
         value = [part.strip() for part in value.split(",") if part.strip()]
     elif not isinstance(value, list):
         raise UsageError(
             f"{name} must be a list or a comma-separated string, got {brief(repr(value))}")
-    if len(value) > MAX_ENTRIES:
-        raise BudgetExceeded(
-            f"--{name}: a list of {len(value)} entries is over the budget of {MAX_ENTRIES}")
     return value
 
 
@@ -225,17 +223,14 @@ def _shown_path(path: str) -> str:
 
 
 def _read_job(path: str, fields: list[str]) -> dict:
+    """A job file's fields, those its command takes; a file over MAX_JOB_BYTES is
+    refused unread, which bounds every list and value in it."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read(MAX_JOB_BYTES + 1)
         if len(raw) <= MAX_JOB_BYTES:  # read as a text file is: UTF-8, universal newlines
             text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
-            try:  # _json_int only where needed: a call per integer would triple the time
-                data = json.loads(text)
-            except json.JSONDecodeError:
-                raise
-            except ValueError:  # an integer past Python's digit limit
-                data = json.loads(text, parse_int=_json_int)
+            data = json.loads(text, parse_int=_json_int)
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         reason = exc  # an OSError's str() repeats the file name in repr()
         if isinstance(exc, OSError) and exc.filename is not None:

@@ -559,6 +559,7 @@ def test_usage_errors_exit_two(capsys):
     assert main(["flow", *A2_FULL, "--class", "1,2", "--samples", "0"]) == 2
     assert main(["describe", "--type", "A", "--rank", "3", "--theta", "2,2"]) == 2
     assert main(["describe", *P1, "--theta", ",".join(["1"] * 70)]) == 2  # 70 entries are read
+    assert main(["describe", *P1, "--theta", ",".join(["1"] * 71)]) == 2  # and so are 71
     assert main(["describe", "--type", "A", "--rank", "2.7"]) == 2
     for fraction in ("abc", "7", "1/2"):
         assert main(["flow", *A2_FULL, "--class", "1,2", "--t", "1/4",
@@ -566,10 +567,7 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     # a long offending value is shown by its size, not echoed
     nines = "9" * 5000
-    for argv in (["describe", "--type", "A", "--rank", nines],
-                 ["describe", "--type", "A", "--rank", "3", "--theta", nines],
-                 ["describe", "--type", "A", "--rank", "3", "--theta", "1,x" + nines],
-                 ["flow", *A2_FULL, "--class", "1,2", "--samples", nines],
+    for argv in (["describe", "--type", "A", "--rank", "3", "--theta", "1,x" + nines],
                  ["check", "--seed", nines],
                  ["check", "--format", nines],
                  [nines],
@@ -582,6 +580,19 @@ def test_usage_errors_exit_two(capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err) < 300, err[:300]
+    # an integer field is read at any length, past Python's 4300-digit limit, and its
+    # range is refused: these exited 2 as "must be an integer"
+    for argv, reason in [
+        (["describe", "--type", "A", "--rank", nines],
+         "family A requires rank in {1,...,70} (got <16611-bit number>)"),
+        (["describe", "--type", "A", "--rank", "3", "--theta", nines],
+         "simple-root index <16611-bit number> out of range 1..3"),
+        (["flow", *A2_FULL, "--class", "1,2", "--samples", nines],
+         "--samples <16611-bit number> is over the budget of 10000"),
+    ]:
+        assert main(argv) == 3, argv[:4]
+        err = capsys.readouterr().err
+        assert reason in err and "Traceback" not in err and len(err) < 300, err[:300]
     # invariants' usage text alone is about 225 characters, so bound the message
     assert main(["invariants", *P2, "--divisor", "1", "--lct-m", nines]) == 2
     err = capsys.readouterr().err
@@ -625,15 +636,21 @@ def test_unknown_job_fields_are_named_briefly(capsys, tmp_path):
 
 
 def test_many_unknown_job_fields_are_counted_not_listed(capsys, tmp_path):
-    # 100000 unknown keys were all listed: 988998 bytes of stderr
+    # 100000 unknown keys were all listed: 988998 bytes of stderr. Here the most keys
+    # of this form that fit under the byte cap, 11 bytes each
+    def text(count):
+        return json.dumps({"lie_family": "A", "rank": 2,
+                           **{f"k{i:05}": 0 for i in range(count)}}, separators=(",", ":"))
+
+    count = (cli.MAX_JOB_BYTES - len(text(0))) // 11
+    assert len(text(count)) <= cli.MAX_JOB_BYTES < len(text(count + 1))
     job = tmp_path / "job.json"
-    job.write_text(json.dumps({"lie_family": "A", "rank": 2,
-                               **{f"k{i:05}": i for i in range(100_000)}}))
+    job.write_text(text(count))
     assert main(["describe", "--job", str(job)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err) < MAX_STDERR
     assert err.endswith("error: unknown job fields: "
-                        "['k00000', 'k00001', 'k00002'] and 99997 more\n")
+                        f"['k00000', 'k00001', 'k00002'] and {count - 3} more\n")
 
 
 def test_non_printable_values_are_shown_as_they_print(capsys, tmp_path):
@@ -821,20 +838,65 @@ def test_a_job_file_over_the_byte_budget_is_refused_unread(tmp_path):
     assert maxrss - base_maxrss < (cap >> 10) + 8 * 1024, (maxrss, base_maxrss)
 
 
+def list_job(count: int) -> bytes:
+    """An A1 job whose class lists count ones, written compactly: 2 * count + 37 bytes."""
+    return b'{"lie_family":"A","rank":1,"class":[' + b"1," * (count - 1) + b"1]}"
+
+
 def test_a_long_list_in_a_job_is_refused_by_its_length(tmp_path):
     # an 11 MB job whose class lists 5592372 entries: flow read and typed every entry
     # before its length was refused (2.2 s CPU, 112 MiB), and describe took, typed and
-    # echoed it (exit 0, 3.7-5.3 s CPU, 503 MiB, 50 MB of stdout)
+    # echoed it (exit 0, 3.7-5.3 s CPU, 503 MiB, 50 MB of stdout). Now the file's size
+    # refuses it unread
     job = tmp_path / "job.json"
-    count = 5_592_372
-    job.write_bytes(b'{"lie_family":"A","rank":1,"class":[' + b"1," * (count - 1) + b"1]}")
+    job.write_bytes(list_job(5_592_372))
+    shown = f"error: --job: the file is over the budget of {cli.MAX_JOB_BYTES} bytes\n"
+    for command in ("flow", "describe"):
+        got, cpu, _, err = usage(command, "--job", str(job))
+        assert (got, err) == (3, shown), (command, err[-300:])
+        assert cpu < 1.0, (command, cpu)
+
+
+def test_the_longest_list_under_the_byte_cap_is_refused_by_its_length(tmp_path):
+    # the most entries a job can list: flow refuses the class's length, describe the field
+    job = tmp_path / "job.json"
+    count = (cli.MAX_JOB_BYTES - 37) // 2
+    job.write_bytes(list_job(count))
+    assert cli.MAX_JOB_BYTES - 1 <= job.stat().st_size <= cli.MAX_JOB_BYTES
     for command, code, shown in [
-        ("flow", 3, f"error: --class: a list of {count} entries is over the budget of 70\n"),
+        ("flow", 3, f"error: {count} coefficients given; expected 1 "
+                    "(one per complement index)\n"),
         ("describe", 2, "error: unknown job fields: ['class']\n"),
     ]:
         got, cpu, _, err = usage(command, "--job", str(job))
         assert (got, err[-len(shown):]) == (code, shown), (command, err[-300:])
         assert cpu < 1.0, (command, cpu)
+
+
+def test_a_job_of_seventy_longest_rationals_is_refused_at_the_byte_cap(tmp_path):
+    # A70's class of 70 rationals of MAX_RATIONAL_CHARS nines each, 9175362 bytes, met
+    # every other budget: all 70 were parsed before the bit budget refused them (6.7 s CPU)
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"lie_family": "A", "rank": 70,
+                               "class": ["9" * cli.MAX_RATIONAL_CHARS] * 70}))
+    assert job.stat().st_size == 9_175_362
+    code, cpu, _, err = usage("flow", "--job", str(job))
+    assert (code, err) == (
+        3, f"error: --job: the file is over the budget of {cli.MAX_JOB_BYTES} bytes\n")
+    assert cpu < 1.0, cpu
+
+
+def test_one_longest_rational_fits_in_a_job_under_the_byte_cap(tmp_path):
+    # the cap leaves room for a value of the longest admitted length, written with
+    # indentation, so that the bit budget, not the file's size, refuses it
+    assert cli.MAX_JOB_BYTES == 2 * cli.MAX_RATIONAL_CHARS
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"lie_family": "A", "rank": 70, "theta": list(range(2, 71)),
+                               "class": ["9" * cli.MAX_RATIONAL_CHARS]}, indent=2))
+    assert job.stat().st_size <= cli.MAX_JOB_BYTES
+    code, cpu, _, err = usage("flow", "--job", str(job))
+    assert code == 3 and err.startswith("error: --class and --t-max-fraction: n = 70 times "), err
+    assert cpu < 1.0, cpu
 
 
 def test_domain_errors_exit_three(capsys, tmp_path):
@@ -862,16 +924,13 @@ def test_domain_errors_exit_three(capsys, tmp_path):
     b8_flow = ["flow", "--type", "B", "--rank", "8", "--class", ",".join([str(2 ** 120)] * 8)]
     empty_job = tmp_path / "empty.json"
     empty_job.write_text(json.dumps({"lie_family": "A", "rank": 2, "class": []}))
-    # a list field takes at most one entry per simple root of A70, the largest rank
-    assert cli.MAX_ENTRIES == 70
     ones = ",".join(["1"] * 71)
     long_divisor_job = tmp_path / "long_divisor.json"
     long_divisor_job.write_text(json.dumps({"lie_family": "A", "rank": 2, "divisor": ones}))
     for argv, reason in [
-        # a list over the entry budget is refused by its length, before any entry is typed
-        (["flow", *P1, "--class", ones], "--class: a list of 71 entries is over the budget"),
-        (["describe", *P1, "--theta", ones], "--theta: a list of 71 entries is over"),
-        (["invariants", "--job", str(long_divisor_job)], "--divisor: a list of 71 entries"),
+        # a class or divisor of the wrong length is refused by it, before any entry is read
+        (["flow", *P1, "--class", ones], "71 coefficients given; expected 1"),
+        (["invariants", "--job", str(long_divisor_job)], "71 coefficients given; expected 2"),
         (["flow", *P1, "--class", ones[2:]], "70 coefficients given; expected 1"),
         # an empty class or divisor is refused by its length, before it is priced
         (["flow", *A2_FULL, "--class="], "0 coefficients given; expected 2"),
@@ -982,13 +1041,18 @@ def test_job_integers_past_4300_digits_are_read(capsys, tmp_path):
         assert main(["invariants", "--job", str(job)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] and nines in outputs[0]
-    # integer fields refuse them as their flag forms do
-    for fields in ({"rank": 0}, {"rank": 3, "theta": [0]},
-                   {"rank": 1, "class": [1], "samples": 0}):
+    # integer fields read them, as their flag forms do, and refuse their range
+    for command, fields, reason in [
+        ("describe", {"rank": 0}, "family A requires rank in {1,...,70} (got <16611-bit number>)"),
+        ("describe", {"rank": 3, "theta": [0]},
+         "simple-root index <16611-bit number> out of range 1..3"),
+        ("flow", {"rank": 1, "class": [1], "samples": 0},
+         "--samples <16611-bit number> is over the budget of 10000"),
+    ]:
         write(fields, nines)
-        assert main(["flow", "--job", str(job)]) == 2, fields
+        assert main([command, "--job", str(job)]) == 3, fields
         err = capsys.readouterr().err
-        assert "must be an integer" in err and len(err) < 300, err[:300]
+        assert reason in err and len(err) < 300, err[:300]
     # an over-long one meets the size budget, unread
     write({"rank": 1, "class": [0], "t": "1"}, "9" * 140000)
     assert main(["flow", "--job", str(job)]) == 3

@@ -84,7 +84,7 @@ def test_the_compare_mode_prints_a_ratio_per_workload_and_metric():
                       r"exited nonzero: base \d+, change \d+")
         shapes += [rf"{workload} {metric}: base {number}, change {number}; change/base "
                    rf"median {number}, quartiles {number}-{number}: unresolved"
-                   for metric in ("cpu_per_request_s", "peak_rss_mb")]
+                   for metric in ("cpu_per_request_s", "peak_rss_mb", "latency_p50_s")]
     assert len(lines) == len(shapes), lines
     for shape, line in zip(shapes, lines):
         assert re.fullmatch(shape, line), line

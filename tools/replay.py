@@ -16,24 +16,27 @@ of more than 40 characters by its length, and the exit code is 1.
 The requests are, in order: the golden requests of tests/data, one cycle each of the
 cli-small and cli-large benchmark streams at seed 0 (imported from
 perfbench/workloads.py), check --seed 0, 1 and 2, each value of the rational grammar
-table, tests/data/rational_grammar.json, as flow's --t, eleven refused requests and two that
-write files. The refused ones are a describe and an invariants job that carry fields of
-other commands, a flow class of 71 entries, a describe, a flow and an invariants job whose
-lie_family is "X", "" and "a", and describe at A0, A71, D51, E9 and a 3000-digit A rank.
-The writing ones are a flow to a CSV file, which writes its JSON sidecar too, and a
-describe to a JSON file.
+table, tests/data/rational_grammar.json, as flow's --t, fifteen refused requests and two
+that write files. The refused ones are a describe and an invariants job that carry fields
+of other commands, a flow class of 71 entries, a describe, a flow and an invariants job
+whose lie_family is "X", "" and "a", describe at A0, A71, D51, E9 and a 3000-digit A rank,
+an A70 flow job of 70 rationals of 131072 nines (35 times the job file's byte cap),
+describe with a 5000-digit --rank, a describe job whose rank is a 5000-digit JSON
+integer, and describe with a --theta that lists the index 1 71 times. The writing ones
+are a flow to a CSV file, which writes its JSON sidecar too, and a describe to a JSON file.
 
 Compare mode runs N pairs (default 10). Pair k runs one cycle of the cli-small and of
 the cli-large stream at seed k in the --base and in the --change tree, base first in even
 pairs and change first in odd ones. Each request is its own `EXE -m flagflow.cli ARGV`
 process, run one at a time by a small `EXE -S` runner that reads its CPU time and
 ru_maxrss from os.wait4 (a child's ru_maxrss counts the memory of the process that starts
-it). The children inherit this environment, as the benchmark's do; with
-PYTHONDONTWRITEBYTECODE=1, trees without __pycache__ are measured with cold bytecode
-caches, as the benchmark measures them. Per workload the tool prints how many requests
-exited nonzero, and per metric (CPU per request, the cycle's peak RSS) each tree's median
-and the median change/base ratio with its quartiles, "unresolved" where they span 1 or
-there is one pair.
+it), and its wall time from time.perf_counter around the spawn and the wait. The
+children inherit this environment, as the benchmark's do; with PYTHONDONTWRITEBYTECODE=1,
+trees without __pycache__ are measured with cold bytecode caches, as the benchmark
+measures them. Per workload the tool prints how many requests exited nonzero, and per
+metric (CPU per request, the cycle's peak RSS, the cycle's median wall time per request)
+each tree's median and the median change/base ratio with its quartiles, "unresolved"
+where they span 1 or there is one pair.
 
 The tool needs only the standard library and runs on every interpreter that
 pyproject.toml admits.
@@ -57,8 +60,9 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
 GOLDEN = [DATA / "cli_golden.json", DATA / "cli_golden_check.json"]
 GRAMMAR_REQUEST = ["flow", "--type", "A", "--rank", "1", "--class", "1"]
-# job files written beside the golden one: the first two carry fields their command does
-# not take, the others a family outside A-G
+# job files written beside the golden one, as JSON or as the text given: the first two
+# carry fields their command does not take, the next three a family outside A-G, then
+# one over the byte cap and one whose rank is past Python's 4300-digit limit
 JOBS = {
     "describe.json": {"lie_family": "A", "rank": 1, "class": ["1"], "t": "1/4"},
     "invariants.json": {"lie_family": "A", "rank": 1, "divisor": ["1"], "samples": 2,
@@ -66,23 +70,29 @@ JOBS = {
     "describe-family.json": {"lie_family": "X", "rank": 2},
     "flow-family.json": {"lie_family": "", "rank": 2, "class": ["1", "2"]},
     "invariants-family.json": {"lie_family": "a", "rank": 2, "divisor": ["1", "1"]},
+    "a70.json": {"lie_family": "A", "rank": 70, "class": ["9" * 131072] * 70},
+    "describe-rank.json": '{"lie_family": "A", "rank": ' + "9" * 5000 + "}",
 }
 WORKLOADS = ("cli-small", "cli-large")
 # runs `python -m flagflow.cli ARGV` for each argv of the JSON list on stdin, one at a
-# time, and prints its exit code, CPU seconds and ru_maxrss (KiB) from os.wait4
+# time, and prints its exit code, CPU seconds and ru_maxrss (KiB) from os.wait4, and
+# the wall seconds from its spawn to its wait
 RUNNER = (
-    "import json, os, sys\n"
+    "import json, os, sys, time\n"
     "quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]\n"
     "for argv in json.load(sys.stdin):\n"
+    "    start = time.perf_counter()\n"
     "    pid = os.posix_spawn(sys.executable, [sys.executable, '-m', 'flagflow.cli', *argv],"
     " os.environ, file_actions=quiet)\n"
     "    _, status, usage = os.wait4(pid, 0)\n"
+    "    wall = time.perf_counter() - start\n"
     "    print(os.waitstatus_to_exitcode(status), usage.ru_utime + usage.ru_stime,"
-    " usage.ru_maxrss)\n")
-# metric -> its value over one tree's run of a cycle, a list of (code, CPU s, KiB)
+    " usage.ru_maxrss, wall)\n")
+# metric -> its value over one tree's run of a cycle, a list of (code, CPU s, KiB, wall s)
 METRICS = {
-    "cpu_per_request_s": lambda run: sum(cpu for _, cpu, _ in run) / len(run),
-    "peak_rss_mb": lambda run: max(kib for *_, kib in run) / 1024,
+    "cpu_per_request_s": lambda run: sum(cpu for _, cpu, _, _ in run) / len(run),
+    "peak_rss_mb": lambda run: max(kib for _, _, kib, _ in run) / 1024,
+    "latency_p50_s": lambda run: statistics.median(wall for *_, wall in run),
 }
 
 
@@ -118,6 +128,11 @@ def requests() -> list[tuple[str, list[str]]]:
     out += [(f"refused {i}", ["describe", "--type", family, "--rank", rank])
             for i, (family, rank) in enumerate(
                 [("A", "0"), ("A", "71"), ("D", "51"), ("E", "9"), ("A", "9" * 3000)], 6)]
+    out += [("refused 11", ["flow", "--job", "a70.json"]),
+            ("refused 12", ["describe", "--type", "A", "--rank", "9" * 5000]),
+            ("refused 13", ["describe", "--job", "describe-rank.json"]),
+            ("refused 14", ["describe", "--type", "A", "--rank", "1",
+                            "--theta", ",".join(["1"] * 71)])]
     out += [("written 0", ["flow", "--type", "B", "--rank", "3", "--class", "1/2,2,3/5",
                            "--samples", "3", "--format", "csv", "--output", "traj.csv"]),
             ("written 1", ["describe", "--type", "B", "--rank", "3", "--output",
@@ -132,7 +147,8 @@ def run(python: str, src: str, reqs: list[tuple[str, list[str]]]) -> list[str]:
     records = []
     with tempfile.TemporaryDirectory() as cwd:
         for name, content in [("job.json", job), *JOBS.items()]:
-            Path(cwd, name).write_text(json.dumps(content))
+            Path(cwd, name).write_text(content if isinstance(content, str)
+                                       else json.dumps(content))
         before = set(os.listdir(cwd))
         for label, argv in reqs:
             proc = subprocess.run([python, "-m", "flagflow.cli", *argv], cwd=cwd, env=env,
@@ -158,16 +174,17 @@ def differing(runs: list[list[str]]) -> list[int]:
     return [i for i, records in enumerate(zip(*runs)) if len(set(records)) > 1]
 
 
-def measure(python: str, src: str, argvs: list[list[str]]) -> list[tuple[int, float, int]]:
-    """(exit code, CPU seconds, ru_maxrss in KiB) of each request, run by python on the
-    flagflow in src, one at a time."""
+def measure(python: str, src: str,
+            argvs: list[list[str]]) -> list[tuple[int, float, int, float]]:
+    """(exit code, CPU seconds, ru_maxrss in KiB, wall seconds) of each request, run by
+    python on the flagflow in src, one at a time."""
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     with tempfile.TemporaryDirectory() as cwd:
         proc = subprocess.run([python, "-S", "-c", RUNNER], input=json.dumps(argvs),
                               cwd=cwd, env=env, capture_output=True, text=True, check=True,
                               timeout=600 * len(argvs))
-    return [(int(code), float(cpu), int(kib))
-            for code, cpu, kib in map(str.split, proc.stdout.splitlines())]
+    return [(int(code), float(cpu), int(kib), float(wall))
+            for code, cpu, kib, wall in map(str.split, proc.stdout.splitlines())]
 
 
 def _quartiles(values: list[float]) -> list[float]:
