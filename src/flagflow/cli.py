@@ -54,11 +54,10 @@ MAX_JOB_BYTES = 2 * MAX_RATIONAL_CHARS
 # 1 is the decimal exponent. Left uncompiled, as _ECHOED is
 _RATIONAL = (r"\s*[-+]?(?=\.?\d)\d*(?:_\d+)*"
              r"(?:/\d+(?:_\d+)*|(?:\.(?:\d+(?:_\d+)*)?)?(?:[eE][-+]?(\d+(?:_\d+)*))?)\s*\Z")
-# the offending value where argparse's messages repeat one: a choice or a typed
-# value (in repr), the arguments left unrecognized or an ambiguous option; left
-# uncompiled, so that only a usage error pays for it
-_ECHOED = (r"(?s)(invalid choice: |invalid \w+ value: |unrecognized arguments: "
-           r"|ambiguous option: )(.*?)( \(choose from [^()]*\)| could match [-\w, ]*)?\Z")
+# the offending value where argparse's messages repeat one: a choice (in repr), the
+# arguments left unrecognized or an ambiguous option; uncompiled: only usage errors use it
+_ECHOED = (r"(?s)(invalid choice: |unrecognized arguments: |ambiguous option: )(.*?)"
+           r"( \(choose from [^()]*\)| could match [-\w, ]*)?\Z")
 
 
 class UsageError(Exception):
@@ -149,12 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="nef value, degree, section counts, bounds")
     add_descriptor(p)
     p.add_argument("--divisor", help="comma-separated rationals: ample divisor class")
-    p.add_argument("--lct-m", dest="lct_m", type=int,
+    p.add_argument("--lct-m", dest="lct_m",
                    help="report the log canonical threshold bound for m*D")
     add_output(p)
 
     p = sub.add_parser("check", help="run the verification suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0)
     add_output(p)
     return parser
 
@@ -454,9 +453,9 @@ def _dispatch(args) -> int:
     code, output = 0, args.output
     if args.command == "check":
         from .oracle import SuiteConfig, run_suite  # only check loads the suite
-        report = run_suite(SuiteConfig(seed=args.seed))
-        desc, result = {"seed": args.seed}, report.as_dict()
-        code = 0 if report.exact_ok else 1
+        desc = {"seed": _integer("--seed", args.seed)}
+        report = run_suite(SuiteConfig(seed=desc["seed"]))
+        result, code = report.as_dict(), 0 if report.exact_ok else 1
     else:
         desc, flag, b, time, count = read_descriptor(args)
         if args.command == "describe":
@@ -464,7 +463,8 @@ def _dispatch(args) -> int:
         elif args.command == "flow":
             result = cmd_flow(flag, b, time, count)
         else:
-            result = cmd_invariants(flag, b, args.lct_m)
+            lct_m = None if args.lct_m is None else _integer("--lct-m", args.lct_m)
+            result = cmd_invariants(flag, b, lct_m)
     if args.format == "csv":
         _write(output, _csv_text(result["samples"]))
         output += ".json"

@@ -9,9 +9,14 @@ normal_float() is the one float rule. all_digits() lifts the digit limit.
 """
 
 import contextlib
+import decimal
+import functools
 import re
 import sys
 from fractions import Fraction
+
+# split_digits beats str(), which is quadratic below Python 3.12, past this many bits
+SPLIT_BITS = 60_000 if sys.version_info < (3, 12) else float("inf")
 
 
 class DomainError(ValueError):
@@ -50,11 +55,36 @@ def all_digits():
         sys.set_int_max_str_digits(limit)
 
 
+def split_digits(n: int) -> str:
+    """str(n) at any length, written by halves through decimal as CPython 3.12's
+    Lib/_pylong.py does (gh-90716); Decimal(int) and str(Decimal) have no digit limit."""
+    D = decimal.Decimal
+
+    @functools.cache
+    def power(w):  # 2^w
+        return D(2) ** w if w <= 128 else power(w >> 1) * power(w - (w >> 1))
+
+    def inner(n, w):  # n >= 0 of at most w bits, as hi * 2^half + lo
+        if w <= 128:
+            return D(n)
+        half = w >> 1
+        hi = n >> half
+        return inner(n - (hi << half), half) + inner(hi, w - half) * power(half)
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        return "-" * (n < 0) + str(inner(abs(n), n.bit_length()))
+
+
 def plain(value):
     """A value as JSON holds it: a rational as "p/q" at any length, a tuple or list
     as a list, JSON's scalars as they are; anything else raises TypeError, as
     json.dumps' default must. The digit limit is lifted only when str() refuses."""
     if isinstance(value, Fraction):
+        p, q = value.as_integer_ratio()
+        if max(p.bit_length(), q.bit_length()) > SPLIT_BITS:
+            return split_digits(p) if q == 1 else f"{split_digits(p)}/{split_digits(q)}"
         try:
             return str(value)
         except ValueError:  # past 4300 digits

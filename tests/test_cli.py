@@ -21,7 +21,7 @@ import pytest
 import flagflow
 import flagflow.dimcount
 import flagflow.oracle as oracle
-from flagflow import cli
+from flagflow import cli, errors
 from flagflow.cli import main
 from flagflow.errors import all_digits, brief, normal_float, plain
 from test_cli_contract import MAX_STDERR
@@ -568,7 +568,7 @@ def test_usage_errors_exit_two(capsys):
     # a long offending value is shown by its size, not echoed
     nines = "9" * 5000
     for argv in (["describe", "--type", "A", "--rank", "3", "--theta", "1,x" + nines],
-                 ["check", "--seed", nines],
+                 ["check", "--seed", "x" + nines],
                  ["check", "--format", nines],
                  [nines],
                  ["describe", *A2_FULL, nines],
@@ -589,25 +589,29 @@ def test_usage_errors_exit_two(capsys):
          "simple-root index <16611-bit number> out of range 1..3"),
         (["flow", *A2_FULL, "--class", "1,2", "--samples", nines],
          "--samples <16611-bit number> is over the budget of 10000"),
+        # --lct-m is read by the same reader, and off the Borel case refused by lct_lower
+        (["invariants", *P2, "--divisor", "1", "--lct-m", nines],
+         "log canonical threshold bound is stated for the Borel case only"),
     ]:
         assert main(argv) == 3, argv[:4]
         err = capsys.readouterr().err
         assert reason in err and "Traceback" not in err and len(err) < 300, err[:300]
     # invariants' usage text alone is about 225 characters, so bound the message
-    assert main(["invariants", *P2, "--divisor", "1", "--lct-m", nines]) == 2
+    assert main(["invariants", *P2, "--divisor", "1", "--lct-m", "x" + nines]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()[-1]) < 120, err[:300]
     # so is describe's with --type's message, which lists every family
     assert main(["describe", "--type", nines, "--rank", "2"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()[-1]) < 160, err[:300]
-    # a short value keeps argparse's own message
+    # every integer is read by cli._integer, as --rank is; argparse converts none
     assert main(["check", "--seed", "abc"]) == 2
     assert capsys.readouterr().err.endswith(
-        "error: argument --seed: invalid int value: 'abc'\n")
+        "flagflow: error: --seed must be an integer, got 'abc'\n")
     assert main(["invariants", *P2, "--divisor", "1", "--lct-m", "x"]) == 2
     assert capsys.readouterr().err.endswith(
-        "error: argument --lct-m: invalid int value: 'x'\n")
+        "flagflow: error: --lct-m must be an integer, got 'x'\n")
+    # a short value keeps argparse's own message
     assert main(["describe", "--type", "X", "--rank", "2"]) == 2
     assert capsys.readouterr().err.endswith("error: argument --type: invalid choice: "
                                             "'X' (choose from 'A', 'B', 'C', 'D', 'E', 'F', 'G')\n")
@@ -624,6 +628,32 @@ def test_usage_errors_exit_two(capsys):
     assert main(["describe", *A2_FULL, "--output", long_name]) == 2
     assert capsys.readouterr().err.endswith(
         f"error: cannot write {long_name}: No such file or directory\n")
+
+
+def test_seed_and_lct_m_are_read_at_any_length(capsys):
+    # argparse's int() read both and refused them past 4300 digits with exit 2
+    nines = "9" * 5000
+    assert main(["check", "--seed", nines]) == 0
+    with all_digits():
+        doc = json.loads(capsys.readouterr().out)
+    assert doc["input"] == {"seed": 10 ** 5000 - 1} and doc["result"]["exact_ok"] is True
+    # the bound m / C(mD) is the same for every m that makes mD integral
+    lct = run_json(capsys, ["invariants", *A2_FULL, "--divisor", "1,1", "--lct-m", "1"])
+    assert main(["invariants", *A2_FULL, "--divisor", "1,1", "--lct-m", nines]) == 0
+    with all_digits():
+        doc = json.loads(capsys.readouterr().out)
+    assert doc["result"]["lct"] == {**lct["result"]["lct"], "m": 10 ** 5000 - 1}
+
+
+def test_argparse_converts_no_value():
+    # every integer of a request is read by cli._integer, so no action has a type
+    parsers = [cli.build_parser()]
+    for parser in parsers:  # each subcommand's parser is appended as it is found
+        for action in parser._actions:
+            assert action.type is None, action.option_strings
+            if isinstance(action.choices, dict):
+                parsers += action.choices.values()
+    assert len(parsers) == 5
 
 
 def test_unknown_job_fields_are_named_briefly(capsys, tmp_path):
@@ -684,7 +714,7 @@ def test_non_printable_values_are_shown_as_they_print(capsys, tmp_path):
          "error: rank must be an integer, got 'x\\U000e0001... (303 characters)"),
         (["describe", "--type", tag * 40], 2, f"error: argument --type: invalid choice: "
          f"{cut} (choose from 'A', 'B', 'C', 'D', 'E', 'F', 'G')"),
-        (["check", "--seed", tag * 40], 2, f"error: argument --seed: invalid int value: {cut}"),
+        (["check", "--seed", tag * 40], 2, f"error: --seed must be an integer, got {cut}"),
         (["describe", "--job", str(family_job)], 2,
          f"error: lie_family must be one of A, B, C, D, E, F, G, got {cut}"),
     ]:
@@ -1101,6 +1131,29 @@ def test_plain_writes_any_length_and_leaves_the_digit_limit_as_it_found_it():
         assert sys.get_int_max_str_digits() == limit
         with all_digits():
             assert Fraction(text) == value and text == str(value)
+
+
+def test_plain_writes_long_values_by_halves_as_str_does(monkeypatch):
+    # below Python 3.12 str() is quadratic in the digits, so past SPLIT_BITS bits plain()
+    # writes by halves through decimal, in the very text of str(), sign and p/q included
+    edge = 60_000
+    assert errors.SPLIT_BITS == (edge if sys.version_info < (3, 12) else math.inf)
+    split, direct = [], errors.split_digits
+    monkeypatch.setattr(errors, "split_digits",
+                        lambda n: split.append(n.bit_length()) or direct(n))
+    rng = random.Random(4)
+    with all_digits():
+        for bits in (edge - 1, edge, edge + 1, 3 * edge):
+            big = rng.getrandbits(bits) | 1 << (bits - 1)
+            for value in (Fraction(big), Fraction(-big), Fraction(big, 7), Fraction(-big, 7),
+                          Fraction(7, big), Fraction(-7, big), Fraction(big, big + 2)):
+                assert plain(value) == str(value), (bits, value < 0)
+            # the helper itself, on every interpreter
+            for n in (big, -big, 0, 1, -1, 2 ** 128, 2 ** 129 - 1, 10 ** 40):
+                assert direct(n) == str(n)
+    # 3.12 and later keep str() at every length
+    assert {bits for bits in split if bits > 3} == (
+        {edge + 1, 3 * edge} if sys.version_info < (3, 12) else set())
 
 
 def test_normal_float_refuses_values_past_the_normal_range():

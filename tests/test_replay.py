@@ -88,3 +88,14 @@ def test_the_compare_mode_prints_a_ratio_per_workload_and_metric():
     assert len(lines) == len(shapes), lines
     for shape, line in zip(shapes, lines):
         assert re.fullmatch(shape, line), line
+
+
+def test_the_long_integer_requests_are_read_in_full():
+    # check's --seed and invariants' --lct-m of 5000 digits, echoed whole in the document
+    replay = load_replay()
+    long = [req for req in replay.requests() if req[0].startswith("long")]
+    src = str(Path(flagflow.__file__).parents[1])
+    records = [json.loads(record) for record in replay.run(sys.executable, src, long)]
+    assert [(label, code, err) for label, _, code, _, err, _ in records] == [
+        ("long 0", 0, ""), ("long 1", 0, "")]
+    assert all(f": {'9' * 5000}" in out for *_, out, _, _ in records)

@@ -16,14 +16,16 @@ of more than 40 characters by its length, and the exit code is 1.
 The requests are, in order: the golden requests of tests/data, one cycle each of the
 cli-small and cli-large benchmark streams at seed 0 (imported from
 perfbench/workloads.py), check --seed 0, 1 and 2, each value of the rational grammar
-table, tests/data/rational_grammar.json, as flow's --t, fifteen refused requests and two
-that write files. The refused ones are a describe and an invariants job that carry fields
-of other commands, a flow class of 71 entries, a describe, a flow and an invariants job
-whose lie_family is "X", "" and "a", describe at A0, A71, D51, E9 and a 3000-digit A rank,
-an A70 flow job of 70 rationals of 131072 nines (35 times the job file's byte cap),
-describe with a 5000-digit --rank, a describe job whose rank is a 5000-digit JSON
-integer, and describe with a --theta that lists the index 1 71 times. The writing ones
-are a flow to a CSV file, which writes its JSON sidecar too, and a describe to a JSON file.
+table, tests/data/rational_grammar.json, as flow's --t, fifteen refused requests, two that
+write files and two whose integer flag has 5000 digits. The refused ones are a describe
+and an invariants job that carry fields of other commands, a flow class of 71 entries, a
+describe, a flow and an invariants job whose lie_family is "X", "" and "a", describe at
+A0, A71, D51, E9 and a 3000-digit A rank, an A70 flow job of 70 rationals of 131072 nines
+(35 times the job file's byte cap), describe with a 5000-digit --rank, a describe job
+whose rank is a 5000-digit JSON integer, and describe with a --theta that lists the index
+1 71 times. The writing ones are a flow to a CSV file, which writes its JSON sidecar too,
+and a describe to a JSON file. The long ones are check with a 5000-digit --seed and a
+Borel invariants with a 5000-digit --lct-m, each read in full.
 
 Compare mode runs N pairs (default 10). Pair k runs one cycle of the cli-small and of
 the cli-large stream at seed k in the --base and in the --change tree, base first in even
@@ -137,6 +139,9 @@ def requests() -> list[tuple[str, list[str]]]:
                            "--samples", "3", "--format", "csv", "--output", "traj.csv"]),
             ("written 1", ["describe", "--type", "B", "--rank", "3", "--output",
                            "describe-out.json"])]
+    out += [("long 0", ["check", "--seed", "9" * 5000]),
+            ("long 1", ["invariants", "--type", "A", "--rank", "2", "--divisor", "1,1",
+                        "--lct-m", "9" * 5000])]
     return out
 
 
