@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_descriptor(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--type", dest="lie_family", choices=list(RANK_RANGE),
+        p.add_argument("--type", dest="lie_family", metavar="{" + ",".join(RANK_RANGE) + "}",
                        help="simple Lie family")
         p.add_argument("--rank", help="rank of the Lie family (an integer)")
         p.add_argument("--theta", default=None,
@@ -297,8 +297,8 @@ def read_descriptor(args) -> tuple[dict, ParabolicFlag, tuple | None, Fraction |
         raise UsageError("--type and --rank are required "
                          "(in a job file: lie_family, a string, and rank)")
     if desc["lie_family"] not in tuple(RANK_RANGE):  # a tuple compares a list, never hashes
-        raise UsageError(f"lie_family must be one of {', '.join(RANK_RANGE)}, "
-                         f"got {brief(repr(desc['lie_family']))}")
+        raise UsageError(f"--type must be one of {', '.join(RANK_RANGE)} (in a job file: "
+                         f"lie_family), got {brief(repr(desc['lie_family']))}")
     for key, read in READERS.items():
         if key in desc:
             desc[key] = read(key, desc[key])

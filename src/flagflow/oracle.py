@@ -1,7 +1,7 @@
 """Independent verification harness for the flow and divisor formulas.
 
 Polynomial identities are verified by exact evaluation at more rational
-points than the degree bound, never by symbolic algebra. Floating
+points than their degree, never by symbolic algebra. Floating
 finite-difference checks are advisory and reported under their own
 names; the exact checks are the contract, and a flow past the normal float
 range fails the finite-difference check with the reason. Failures are reported
@@ -183,13 +183,15 @@ def check_ricci_identity(fs: FlowSolution) -> tuple[CheckOutcome, CheckOutcome]:
 
     the derivative side uses the stored slopes, the norm side the stored
     coefficients, so corrupting either one breaks the equality of the two
-    integer sums. The flow kernel's grouped |Ric|^2 must equal them, compared
-    by cross-multiplying integers. Fractions are built only for a
+    integer sums. Times Q^2, both sides are polynomials of degree <= 2n - 2,
+    so equality at max(n + 2, 2n) rational points forces the identity. The
+    flow kernel's grouped |Ric|^2 must equal them at the same points,
+    compared by cross-multiplying integers. Fractions are built only for a
     counterexample. Returns (exact outcome, finite-difference outcome).
     """
     n = fs.flag.n
     exact = CheckOutcome(True)
-    for t, L, ms in _cleared(fs, n + 2):
+    for t, L, ms in _cleared(fs, max(n + 2, 2 * n)):
         lhs, rhs, q_sq = _common_sums(
             [(-a * s, a * a, m * m) for a, s, m in zip(fs.a, fs.p_slope, ms)])
         kernel = ricci_norm_sq(fs, t)

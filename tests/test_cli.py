@@ -342,10 +342,10 @@ def test_the_process_writes_its_whole_output_before_it_exits(capsys, monkeypatch
         out = capsys.readouterr().out
         proc = run(argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, ""), argv
-    assert main(["describe", "--type", "Q"]) == 2
+    assert main(["describe", "--format", "Q"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: flagflow describe [-h]") and err.endswith("'G')\n")
-    proc = run(["describe", "--type", "Q"])
+    assert err.startswith("usage: flagflow describe [-h]") and err.endswith("'json')\n")
+    proc = run(["describe", "--format", "Q"])
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
 
 
@@ -611,10 +611,11 @@ def test_usage_errors_exit_two(capsys):
     assert main(["invariants", *P2, "--divisor", "1", "--lct-m", "x"]) == 2
     assert capsys.readouterr().err.endswith(
         "flagflow: error: --lct-m must be an integer, got 'x'\n")
-    # a short value keeps argparse's own message
+    # a family is refused by read_descriptor, from a flag as from a job; argparse
+    # refused a flag with its own invalid choice message
     assert main(["describe", "--type", "X", "--rank", "2"]) == 2
-    assert capsys.readouterr().err.endswith("error: argument --type: invalid choice: "
-                                            "'X' (choose from 'A', 'B', 'C', 'D', 'E', 'F', 'G')\n")
+    assert capsys.readouterr().err.endswith("flagflow: error: --type must be one of A, B, C, "
+                                            "D, E, F, G (in a job file: lie_family), got 'X'\n")
     assert main(["describe", *A2_FULL, "x", "y"]) == 2
     assert capsys.readouterr().err.endswith("error: unrecognized arguments: x y\n")
     assert main(["describe", *A2_FULL, "--t=5"]) == 2
@@ -645,15 +646,36 @@ def test_seed_and_lct_m_are_read_at_any_length(capsys):
     assert doc["result"]["lct"] == {**lct["result"]["lct"], "m": 10 ** 5000 - 1}
 
 
-def test_argparse_converts_no_value():
-    # every integer of a request is read by cli._integer, so no action has a type
+def _parsers() -> list:
+    """build_parser()'s parser and each subcommand's."""
     parsers = [cli.build_parser()]
     for parser in parsers:  # each subcommand's parser is appended as it is found
+        parsers += [p for action in parser._actions if isinstance(action.choices, dict)
+                    for p in action.choices.values()]
+    assert len(parsers) == 5
+    return parsers
+
+
+def test_argparse_converts_no_value():
+    # every integer of a request is read by cli._integer, so no action has a type
+    for parser in _parsers():
         for action in parser._actions:
             assert action.type is None, action.option_strings
-            if isinstance(action.choices, dict):
-                parsers += action.choices.values()
-    assert len(parsers) == 5
+
+
+def test_argparse_refuses_no_descriptor_value(capsys):
+    # a family is read by read_descriptor, so only the subcommand and --format have
+    # choices; --type had them, and a bad family as a flag never reached read_descriptor
+    for parser in _parsers():
+        for action in parser._actions:
+            assert action.choices is None or isinstance(action.choices, dict) or (
+                action.option_strings == ["--format"]), action.option_strings
+    # each subcommand's usage still lists the families
+    for command in ("describe", "flow", "invariants"):
+        assert main([command, "--format", "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: flagflow {command} ") and (
+            "[--type {A,B,C,D,E,F,G}]" in err), err
 
 
 def test_unknown_job_fields_are_named_briefly(capsys, tmp_path):
@@ -712,11 +734,11 @@ def test_non_printable_values_are_shown_as_they_print(capsys, tmp_path):
         (["flow", *P1, "--class", "1/\n2"], 3, "error: not a rational number: '1/\\n2'"),
         (["describe", *P1[:2], "--rank", "x" + tag * 30], 2,
          "error: rank must be an integer, got 'x\\U000e0001... (303 characters)"),
-        (["describe", "--type", tag * 40], 2, f"error: argument --type: invalid choice: "
-         f"{cut} (choose from 'A', 'B', 'C', 'D', 'E', 'F', 'G')"),
+        (["describe", "--type", tag * 40, "--rank", "2"], 2, "error: --type must be one of "
+         f"A, B, C, D, E, F, G (in a job file: lie_family), got {cut}"),
         (["check", "--seed", tag * 40], 2, f"error: --seed must be an integer, got {cut}"),
-        (["describe", "--job", str(family_job)], 2,
-         f"error: lie_family must be one of A, B, C, D, E, F, G, got {cut}"),
+        (["describe", "--job", str(family_job)], 2, "error: --type must be one of "
+         f"A, B, C, D, E, F, G (in a job file: lie_family), got {cut}"),
     ]:
         assert main(argv) == code, argv[:4]
         out, err = capsys.readouterr()
@@ -783,8 +805,9 @@ def test_job_conflicts_exit_two(capsys, tmp_path):
         job.write_text(json.dumps({"lie_family": family, "rank": 2}))
         for command in ("describe", "flow", "invariants"):
             assert main([command, "--job", str(job)]) == 2, (command, family)
-            assert capsys.readouterr().err.endswith(
-                f"error: lie_family must be one of A, B, C, D, E, F, G, got {shown}\n")
+            assert capsys.readouterr().err.endswith("error: --type must be one of A, B, C, "
+                                                    "D, E, F, G (in a job file: lie_family), "
+                                                    f"got {shown}\n")
     # a job takes the fields of its command's flags and refuses the others, as the
     # flags do; a flow job takes all eight
     values = {"theta": [1], "class": ["1", "2"], "divisor": ["1", "1"], "t": "0",

@@ -300,9 +300,9 @@ def fraction_scalar_volume_identity(fs):
 
 def fraction_ricci_identity(fs):
     """The exact half of check_ricci_identity with a Fraction per root: the reference."""
-    n = fs.flag.n
-    for k in range(n + 2):
-        t = fs.T * k / (n + 2)
+    parts = max(fs.flag.n + 2, 2 * fs.flag.n)
+    for k in range(parts):
+        t = fs.T * k / parts
         lhs = rhs = Fraction(0)
         for a, c, s in zip(fs.a, fs.p_const, fs.p_slope):
             p = c + s * t
@@ -370,6 +370,19 @@ def test_identity_checks_past_rank_6(theta):
         bad = corrupt(fs)
         assert not check_scalar_volume_identity(bad).passed
         assert not check_ricci_identity(bad)[0].passed
+
+
+def test_the_ricci_identity_is_decided_at_more_times_than_its_degree(monkeypatch):
+    # times Q^2 both sides have degree <= 2n - 2, so 2n - 1 equal values prove it; the
+    # exact half ran at n + 2 times, 14 on D4 Borel (n = 12)
+    cleared, parts = oracle._cleared, []
+    monkeypatch.setattr(oracle, "_cleared", lambda fs, k: parts.append(k) or cleared(fs, k))
+    for family, rank, theta, n in [("D", 4, (), 12), ("A", 3, (), 6), ("B", 3, (2,), 8),
+                                   ("G", 2, (), 6), ("A", 2, (1,), 2)]:
+        flag = build_flag(build_root_system(family, rank), theta)
+        parts.clear()
+        assert flag.n == n and check_ricci_identity(make_flow(flag, flag.fano))[0].passed
+        assert parts and min(parts) >= max(2 * n - 1, n + 2), (family, rank, theta, parts)
 
 
 def test_counterexamples_serialize_to_plain_strings():

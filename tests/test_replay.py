@@ -73,18 +73,24 @@ def test_the_compare_mode_prints_a_ratio_per_workload_and_metric():
     replay = load_replay()
     src = str(Path(flagflow.__file__).parents[1])
 
-    def subset(workload, seed):  # three requests: two of cli-small, one of cli-large
-        return replay.cycle(workload, seed)[:2 if workload == "cli-small" else 1]
+    def subset(workload, seed):  # two requests of cli-small; cli-large's first and check
+        requests = replay.cycle(workload, seed)
+        if workload == "cli-small":
+            return requests[:2]
+        return [requests[0], *(argv for argv in requests if argv[0] == "check")]
 
     lines = replay.compare(sys.executable, src, src, 1, subset)
     number = r"[0-9.e+-]+"
     shapes = []
-    for workload, count in (("cli-small", 2), ("cli-large", 1)):
+    for workload, count, metrics in (
+            ("cli-small", 2, ("cpu_per_request_s", "peak_rss_mb", "latency_p50_s")),
+            ("cli-large", 2, ("cpu_per_request_s", "peak_rss_mb", "latency_p50_s",
+                              "check_cpu_s"))):
         shapes.append(rf"{workload}: pairs 1, requests per tree {count}, "
                       r"exited nonzero: base \d+, change \d+")
         shapes += [rf"{workload} {metric}: base {number}, change {number}; change/base "
                    rf"median {number}, quartiles {number}-{number}: unresolved"
-                   for metric in ("cpu_per_request_s", "peak_rss_mb", "latency_p50_s")]
+                   for metric in metrics]
     assert len(lines) == len(shapes), lines
     for shape, line in zip(shapes, lines):
         assert re.fullmatch(shape, line), line

@@ -16,16 +16,18 @@ of more than 40 characters by its length, and the exit code is 1.
 The requests are, in order: the golden requests of tests/data, one cycle each of the
 cli-small and cli-large benchmark streams at seed 0 (imported from
 perfbench/workloads.py), check --seed 0, 1 and 2, each value of the rational grammar
-table, tests/data/rational_grammar.json, as flow's --t, fifteen refused requests, two that
-write files and two whose integer flag has 5000 digits. The refused ones are a describe
-and an invariants job that carry fields of other commands, a flow class of 71 entries, a
-describe, a flow and an invariants job whose lie_family is "X", "" and "a", describe at
-A0, A71, D51, E9 and a 3000-digit A rank, an A70 flow job of 70 rationals of 131072 nines
-(35 times the job file's byte cap), describe with a 5000-digit --rank, a describe job
-whose rank is a 5000-digit JSON integer, and describe with a --theta that lists the index
-1 71 times. The writing ones are a flow to a CSV file, which writes its JSON sidecar too,
-and a describe to a JSON file. The long ones are check with a 5000-digit --seed and a
-Borel invariants with a 5000-digit --lct-m, each read in full.
+table, tests/data/rational_grammar.json, as flow's --t, seventeen refused requests, two
+that write files and two whose integer flag has 5000 digits. The refused ones are a
+describe and an invariants job that carry fields of other commands, a flow class of 71
+entries, a describe, a flow and an invariants job whose lie_family is "X", "" and "a",
+describe at A0, A71, D51, E9 and a 3000-digit A rank, an A70 flow job of 70 rationals of
+131072 nines (35 times the job file's byte cap), describe with a 5000-digit --rank, a
+describe job whose rank is a 5000-digit JSON integer, describe with a --theta that lists
+the index 1 71 times, and describe with --type X and flow with an empty --type, so that
+a family is refused from a flag as from a job. The writing ones are a flow to a CSV
+file, which writes its JSON sidecar too, and a describe to a JSON file. The long ones are
+check with a 5000-digit --seed and a Borel invariants with a 5000-digit --lct-m, each
+read in full.
 
 Compare mode runs N pairs (default 10). Pair k runs one cycle of the cli-small and of
 the cli-large stream at seed k in the --base and in the --change tree, base first in even
@@ -38,7 +40,8 @@ trees without __pycache__ are measured with cold bytecode caches, as the benchma
 measures them. Per workload the tool prints how many requests exited nonzero, and per
 metric (CPU per request, the cycle's peak RSS, the cycle's median wall time per request)
 each tree's median and the median change/base ratio with its quartiles, "unresolved"
-where they span 1 or there is one pair.
+where they span 1 or there is one pair. A workload whose cycle holds a check request in
+every pair gets one more such line, check_cpu_s, the CPU of its check requests.
 
 The tool needs only the standard library and runs on every interpreter that
 pyproject.toml admits.
@@ -134,7 +137,9 @@ def requests() -> list[tuple[str, list[str]]]:
             ("refused 12", ["describe", "--type", "A", "--rank", "9" * 5000]),
             ("refused 13", ["describe", "--job", "describe-rank.json"]),
             ("refused 14", ["describe", "--type", "A", "--rank", "1",
-                            "--theta", ",".join(["1"] * 71)])]
+                            "--theta", ",".join(["1"] * 71)]),
+            ("refused 15", ["describe", "--type", "X", "--rank", "2"]),
+            ("refused 16", ["flow", "--type=", "--rank", "2", "--class", "1,1"])]
     out += [("written 0", ["flow", "--type", "B", "--rank", "3", "--class", "1/2,2,3/5",
                            "--samples", "3", "--format", "csv", "--output", "traj.csv"]),
             ("written 1", ["describe", "--type", "B", "--rank", "3", "--output",
@@ -200,9 +205,12 @@ def compare(python: str, base: str, change: str, pairs: int, cycles=cycle) -> li
     """The compare mode's lines for the flagflow in base and in change; pair k runs
     cycles(workload, k) of each workload in both trees."""
     runs = {}  # (workload, side) -> one run of the cycle per pair
+    checks = {}  # workload -> the indices of its cycle's check requests, per pair
     for pair in range(pairs):
         for workload in WORKLOADS:
             argvs = cycles(workload, pair)
+            checks.setdefault(workload, []).append(
+                [i for i, argv in enumerate(argvs) if argv[0] == "check"])
             order = [("base", base), ("change", change)]
             for side, src in order if pair % 2 == 0 else order[::-1]:
                 runs.setdefault((workload, side), []).append(measure(python, src, argvs))
@@ -212,8 +220,13 @@ def compare(python: str, base: str, change: str, pairs: int, cycles=cycle) -> li
         failed = [sum(code != 0 for run in side for code, *_ in run) for side in sides]
         lines.append(f"{workload}: pairs {pairs}, requests per tree {sum(map(len, sides[0]))}"
                      f", exited nonzero: base {failed[0]}, change {failed[1]}")
-        for name, metric in METRICS.items():
-            base_values, change_values = ([metric(run) for run in side] for side in sides)
+        values = {name: [list(map(metric, side)) for side in sides]
+                  for name, metric in METRICS.items()}
+        if all(checks[workload]):
+            values["check_cpu_s"] = [[sum(run[i][1] for i in idx)
+                                      for run, idx in zip(side, checks[workload])]
+                                     for side in sides]
+        for name, (base_values, change_values) in values.items():
             q1, median, q3 = _quartiles([c / b for b, c in zip(base_values, change_values)])
             verdict = ("unresolved" if pairs < 2 or q1 <= 1 <= q3 else
                        "change lower" if q3 < 1 else "change higher")
