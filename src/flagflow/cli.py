@@ -1,9 +1,9 @@
 """Command-line frontend: describe | flow | invariants | check.
 
-JSON documents have top level {"input": ..., "result": ..., "version": ...}.
-Exact rationals are serialized as "p/q" strings, never floats. A flow
-trajectory can be written as CSV for plotting (12 significant digits per
-cell) with an exact-value JSON sidecar next to it.
+argparse routes a request to its command, and read_descriptor reads its values. JSON
+documents have top level {"input": ..., "result": ..., "version": ...}. Exact rationals
+are serialized as "p/q" strings, never floats. A flow trajectory can be written as CSV
+for plotting (12 significant digits per cell) with an exact-value JSON sidecar next to it.
 
 Exit codes: 0 success, 1 failed verification suite, 2 usage error or
 closed or unwritable stdout, 3 domain rejection, 4 internal assertion failure.
@@ -94,10 +94,13 @@ def parse_rational(text) -> Fraction:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse without its guard on writes: --help and --version go through
-    _print, so main sees a closed or failed stdout, and messages to stderr go
-    through _warn. An offending value that an error message repeats is shown
-    through brief()."""
+    """argparse without its guard on writes: --help and --version go through _print, so
+    main sees a closed or failed stdout, and messages to stderr go through _warn. An
+    offending value that an error message repeats is shown through brief()."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")  # -1,2 and -.5 are values
 
     def error(self, message):
         super().error(re.sub(_ECHOED, lambda m: m[1] + brief(m[2]) + (m[3] or ""), message))

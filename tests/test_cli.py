@@ -678,6 +678,16 @@ def test_argparse_refuses_no_descriptor_value(capsys):
             "[--type {A,B,C,D,E,F,G}]" in err), err
 
 
+def test_argparse_reads_a_minus_and_a_digit_or_dot_as_a_value():
+    # argparse takes such an argument for a value only while no option of its parser
+    # looks like one; a minus and a letter stays an option, so "-X" needs "--type=-X"
+    for parser in _parsers():
+        assert parser._has_negative_number_optionals == []
+        for argument in ("-1,2", "-.5", "-1_0", "-3/2", "-1e3"):
+            assert parser._parse_optional(argument) is None, argument
+        assert parser._parse_optional("-X") is not None
+
+
 def test_unknown_job_fields_are_named_briefly(capsys, tmp_path):
     # a 100000-character unknown key was echoed in full: 100112 bytes of stderr
     job = tmp_path / "job.json"

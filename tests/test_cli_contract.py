@@ -1,7 +1,7 @@
 """Generated CLI contract: every subcommand x flag x hostile value class, given as a
 flag and, for the descriptor fields, in a --job file. Each request must exit 0-3
 within a time limit, with no traceback and a short stderr, and a value must exit
-alike as its flag and as its job field."""
+alike after its flag, after "=" and as its job field."""
 
 import contextlib
 import functools
@@ -9,6 +9,8 @@ import io
 import json
 import random
 import time
+
+import pytest
 
 import flagflow.oracle as oracle
 from flagflow.cli import main
@@ -21,7 +23,7 @@ VALUES = {
     "empty": [""],
     "comma-only": [",", ",,,", " , "],
     "huge-integer": [NINES, "-" + NINES, "1/" + NINES, "1," + NINES],
-    "negative": ["-1", "-3/2", "1,-2", "-0"],
+    "negative": ["-1", "-3/2", "1,-2", "-0", "-1,2", "-.5", "-1e3", "-1_0"],
     "decimal-exponent": ["1e3", "2.5e-2", "1e999999999", "1E-999999999"],
     "unicode-digits": ["٣", "١/٢", "２", "١,٢"],
     "zero-denominator": ["1/0", "0/0", "1,1/0"],
@@ -79,8 +81,9 @@ def _run(argv):
     return code, err.getvalue(), time.perf_counter() - start
 
 
-def _flag_requests(rng):
-    """(argv, what, flag, value) for every flag case, each value drawn from rng."""
+def _flag_cases(rng):
+    """(argv but the varied flag, what, flag, value, whether it is spelt "flag=value")
+    for every flag case, each value and its spelling drawn from rng."""
     for command, (base, flags) in COMMANDS.items():
         for flag in flags:
             for name, values in VALUES.items():
@@ -88,15 +91,14 @@ def _flag_requests(rng):
                 argv = [command, *base]
                 if flag in argv:
                     del argv[argv.index(flag):argv.index(flag) + 2]
-                argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
-                yield argv, f"{command} {flag} {name}", flag, value
+                yield argv, f"{command} {flag} {name}", flag, value, rng.random() < 0.5
 
 
 def _requests(tmp_path):
     """(argv, what) for every case, in a fixed order drawn from a fixed seed."""
     rng = random.Random(SEED)
-    for argv, what, *_ in _flag_requests(rng):
-        yield argv, what
+    for argv, what, flag, value, joined in _flag_cases(rng):
+        yield [*argv, *([f"{flag}={value}"] if joined else [flag, value])], what
     job = tmp_path / "job.json"
     for command, base in JOB_BASES.items():
         for field in JOB_FIELDS:
@@ -108,13 +110,17 @@ def _requests(tmp_path):
                 yield [command, "--job", str(job)], f"{command} --job {field} {name}"
 
 
-def test_every_flag_and_job_field_keeps_the_exit_contract(tmp_path, monkeypatch):
+@pytest.fixture
+def small_suite(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # --output values become files here
     # check's suite on A1, its grid check run once: the contract is about the request
     config = oracle.SuiteConfig
     monkeypatch.setattr(oracle, "SuiteConfig", lambda seed: config(
         types=(("A", 1),), classes_per_flag=1, seed=seed))
     monkeypatch.setattr(oracle, "check_weyl_gt_grid", functools.cache(oracle.check_weyl_gt_grid))
+
+
+def test_every_flag_and_job_field_keeps_the_exit_contract(tmp_path, small_suite):
     seen = set()
     count = 0
     for argv, what in _requests(tmp_path):
@@ -131,20 +137,21 @@ def test_every_flag_and_job_field_keeps_the_exit_contract(tmp_path, monkeypatch)
     assert {0, 2, 3} <= seen
 
 
-def test_a_value_exits_alike_as_its_flag_and_as_its_job_field(tmp_path):
-    # each drawn flag value, put into its field of the command's job object as the same
-    # JSON string, must exit with the flag's code: one validation point for both forms.
-    # A family, refused by read_descriptor alone, prints the same stderr too
+def test_a_value_exits_alike_as_its_flag_and_as_its_job_field(tmp_path, small_suite):
+    # each drawn value, after its flag, after "=" and, for a descriptor flag, as the same
+    # JSON string in its field of the command's job object, must exit alike: one judge
+    # of every value. The two flag forms print the same stderr, and so does a family's
+    # job form, refused by read_descriptor alone
     job = tmp_path / "job.json"
     differ = []
-    for argv, what, flag, value in _flag_requests(random.Random(SEED)):
-        command = argv[0]
-        if command not in JOB_BASES or flag not in JOB_FIELD_OF:
+    for argv, what, flag, value, _ in _flag_cases(random.Random(SEED)):
+        if flag == "--job":  # check takes none: argparse repeats an unknown option as spelt
             continue
-        job.write_text(json.dumps({**JOB_BASES[command], JOB_FIELD_OF[flag]: value}))
-        (code, err, _), (job_code, job_err, _) = _run(argv), _run([command, "--job", str(job)])
-        if flag == "--type" and argv[-2:] == [flag, value]:  # as --type=, never an option
-            err = _run([*argv[:-2], f"--type={value}"])[1]
-        if code != job_code or (flag == "--type" and err != job_err):
-            differ.append((what, value[:20], code, job_code, err[-80:], job_err[-80:]))
+        runs = [_run([*argv, flag, value])[:2], _run([*argv, f"{flag}={value}"])[:2]]
+        if argv[0] in JOB_BASES and flag in JOB_FIELD_OF:
+            job.write_text(json.dumps({**JOB_BASES[argv[0]], JOB_FIELD_OF[flag]: value}))
+            runs.append(_run([argv[0], "--job", str(job)])[:2])
+        errs = {err for _, err in runs[:3 if flag == "--type" else 2]}
+        if len({code for code, _ in runs}) > 1 or len(errs) > 1:
+            differ.append((what, value[:20], [(code, err[-80:]) for code, err in runs]))
     assert differ == []

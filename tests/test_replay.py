@@ -105,3 +105,15 @@ def test_the_long_integer_requests_are_read_in_full():
     assert [(label, code, err) for label, _, code, _, err, _ in records] == [
         ("long 0", 0, ""), ("long 1", 0, "")]
     assert all(f": {'9' * 5000}" in out for *_, out, _, _ in records)
+
+
+def test_a_negative_value_prints_alike_after_its_flag_and_after_equals():
+    # argparse reads "-1,2", "-1/2" and "-1_0" as values, so each pair of spellings gets
+    # one record: read_descriptor's refusal, or check's document for the seed -10
+    replay = load_replay()
+    negative = [req for req in replay.requests() if req[0].startswith("negative")]
+    src = str(Path(flagflow.__file__).parents[1])
+    records = [json.loads(record)[2:] for record in replay.run(sys.executable, src, negative)]
+    assert records[0::2] == records[1::2]
+    assert [code for code, *_ in records[0::2]] == [3, 3, 3, 3, 0]
+    assert '"seed": -10' in records[-1][1]

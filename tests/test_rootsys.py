@@ -1,7 +1,7 @@
 """Root-system construction: counts, pairing table, ordering, rejection paths."""
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given
@@ -16,7 +16,7 @@ from flagflow import (
     rho_pairing,
     validate_type,
 )
-from flagflow.rootsys import _coroots
+from flagflow.rootsys import RANK_RANGE, _coroots
 
 CLASSICAL_COUNTS = [
     ("A", 1, 1), ("A", 2, 3), ("A", 3, 6), ("A", 4, 10), ("A", 5, 15), ("A", 6, 21),
@@ -127,6 +127,25 @@ COXETER_NUMBERS = [
 @pytest.mark.parametrize("family,rank,coxeter", COXETER_NUMBERS)
 def test_highest_root_height_is_coxeter_number_minus_one(family, rank, coxeter):
     assert sum(build_root_system(family, rank).positive_roots[-1]) == coxeter - 1
+
+
+# family -> the order of its Weyl group at rank r, in closed form
+WEYL_ORDERS = {
+    "A": lambda r: factorial(r + 1), "B": lambda r: 2 ** r * factorial(r),
+    "C": lambda r: 2 ** r * factorial(r), "D": lambda r: 2 ** (r - 1) * factorial(r),
+    "E": {6: 51840, 7: 2903040, 8: 696729600}.get, "F": lambda r: 1152, "G": lambda r: 12,
+}
+
+
+@pytest.mark.parametrize("family,rank", [
+    *((family, rank) for family, (lo, hi) in RANK_RANGE.items() for rank in sorted({lo, hi})),
+    ("E", 7),
+])
+def test_root_heights_give_the_weyl_group_order(family, rank):
+    # Macdonald: |W| is the product of (ht + 1) / ht over the positive roots, so every
+    # root's height is checked, not only the number of roots
+    heights = [sum(root) for root in build_root_system(family, rank).positive_roots]
+    assert Fraction(prod(h + 1 for h in heights), prod(heights)) == WEYL_ORDERS[family](rank)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 65), ("B", 33), ("C", 33), ("D", 34)])

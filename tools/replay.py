@@ -27,7 +27,9 @@ the index 1 71 times, and describe with --type X and flow with an empty --type, 
 a family is refused from a flag as from a job. The writing ones are a flow to a CSV
 file, which writes its JSON sidecar too, and a describe to a JSON file. The long ones are
 check with a 5000-digit --seed and a Borel invariants with a 5000-digit --lct-m, each
-read in full.
+read in full. The last ten give a negative value after its flag and after "=", five
+pairs that exit alike: flow's --class -1,2 and --t -1/2, invariants' --divisor -1,1,
+describe's --theta -1,2 and check's --seed -1_0.
 
 Compare mode runs N pairs (default 10). Pair k runs one cycle of the cli-small and of
 the cli-large stream at seed k in the --base and in the --change tree, base first in even
@@ -78,6 +80,14 @@ JOBS = {
     "a70.json": {"lie_family": "A", "rank": 70, "class": ["9" * 131072] * 70},
     "describe-rank.json": '{"lie_family": "A", "rank": ' + "9" * 5000 + "}",
 }
+# (argv up to a flag, a negative value for it): a value after the flag as after "="
+NEGATIVE = [
+    (["flow", "--type", "A", "--rank", "2", "--class"], "-1,2"),
+    (["flow", "--type", "A", "--rank", "2", "--class", "1,2", "--t"], "-1/2"),
+    (["invariants", "--type", "A", "--rank", "2", "--divisor"], "-1,1"),
+    (["describe", "--type", "A", "--rank", "2", "--theta"], "-1,2"),
+    (["check", "--seed"], "-1_0"),
+]
 WORKLOADS = ("cli-small", "cli-large")
 # runs `python -m flagflow.cli ARGV` for each argv of the JSON list on stdin, one at a
 # time, and prints its exit code, CPU seconds and ru_maxrss (KiB) from os.wait4, and
@@ -147,6 +157,9 @@ def requests() -> list[tuple[str, list[str]]]:
     out += [("long 0", ["check", "--seed", "9" * 5000]),
             ("long 1", ["invariants", "--type", "A", "--rank", "2", "--divisor", "1,1",
                         "--lct-m", "9" * 5000])]
+    spelt = [form for (*argv, flag), value in NEGATIVE
+             for form in ([*argv, flag, value], [*argv, f"{flag}={value}"])]
+    out += [(f"negative {i}", argv) for i, argv in enumerate(spelt)]
     return out
 
 
