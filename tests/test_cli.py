@@ -32,6 +32,8 @@ P1 = ["--type", "A", "--rank", "1"]
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 # check's stdout with its one run-dependent line, "wall_time_s", left out
 CHECK_GOLDEN = Path(__file__).parent / "data" / "cli_golden_check.json"
+# the same, for check on A1 alone under one fault each (FAILING_CHECKS)
+FAILING_CHECK_GOLDEN = Path(__file__).parent / "data" / "cli_failing_check.json"
 
 
 def sixteen_bit_class(rank, integral):
@@ -545,6 +547,31 @@ def test_check_subcommand_reports_a_failing_suite(capsys, monkeypatch):
     assert first == oracle.run_suite(oracle.SuiteConfig(0)).first_counterexample
     assert (first["family"], first["rank"], first["theta"]) == ("A", 1, [])
     assert (first["check"], first["b"], first["t"]) == ("scalar_volume_identity", ["2"], "0")
+
+
+def _shifted_report(fs, t, report=oracle.bounds_report):
+    rep = report(fs, t)
+    return rep._replace(R=rep.R + 1)
+
+
+# one fault per kind of counterexample: an identity's residual, a bound chain's
+# BoundsReport fields (bools and the rm_bound text included), a divisor's tuple
+FAILING_CHECKS = {
+    "scalar_curvature": lambda fs, t, kernel=oracle.scalar_curvature: kernel(fs, t) + 1,
+    "bounds_report": _shifted_report,
+    "script_T": lambda flag, d, closed=oracle.script_T: 2 * closed(flag, d),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAILING_CHECKS))
+def test_a_failing_check_prints_its_counterexample_as_recorded(capsys, monkeypatch, fault):
+    config = oracle.SuiteConfig
+    monkeypatch.setattr(oracle, "SuiteConfig", lambda seed: config(
+        types=(("A", 1),), classes_per_flag=1, seed=seed))
+    monkeypatch.setattr(oracle, fault, FAILING_CHECKS[fault])
+    assert main(["check", "--seed", "0"]) == 1
+    out = without_wall_time(capsys.readouterr().out)
+    assert out == json.loads(FAILING_CHECK_GOLDEN.read_text())[fault]
 
 
 def test_usage_errors_exit_two(capsys):
