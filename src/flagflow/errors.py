@@ -4,7 +4,7 @@ DomainError marks input rejected on mathematical grounds; the CLI maps it
 to exit code 3. BudgetExceeded guards input sizes and exhaustive enumerations.
 Internal consistency failures raise plain AssertionError (CLI exit 4).
 Exact values leave through three converters: brief() shows one in a message,
-never a long one; plain() writes one as JSON text, in full at any length;
+never a long one; plain() writes a rational as JSON text, in full at any length;
 normal_float() is the one float rule. all_digits() lifts the digit limit.
 """
 
@@ -77,10 +77,10 @@ def split_digits(n: int) -> str:
         return "-" * (n < 0) + str(inner(abs(n), n.bit_length()))
 
 
-def plain(value):
-    """A value as JSON holds it: a rational as "p/q" at any length, a tuple or list
-    as a list, JSON's scalars as they are; anything else raises TypeError, as
-    json.dumps' default must. The digit limit is lifted only when str() refuses."""
+def plain(value) -> str:
+    """A rational as JSON holds it, "p/q" at any length: json.dumps' default, which
+    json calls on no tuple, list or scalar. Anything else raises TypeError, as that
+    hook must. The digit limit is lifted only when str() refuses."""
     if isinstance(value, Fraction):
         p, q = value.as_integer_ratio()
         if max(p.bit_length(), q.bit_length()) > SPLIT_BITS:
@@ -90,10 +90,6 @@ def plain(value):
         except ValueError:  # past 4300 digits
             with all_digits():
                 return str(value)
-    if isinstance(value, (tuple, list)):
-        return [plain(v) for v in value]
-    if value is None or isinstance(value, (str, int, float)):
-        return value
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 

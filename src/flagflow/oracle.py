@@ -5,8 +5,8 @@ points than their degree, never by symbolic algebra. Floating
 finite-difference checks are advisory and reported under their own
 names; the exact checks are the contract, and a flow past the normal float
 range fails the finite-difference check with the reason. Failures are reported
-with a counterexample whose values are already JSON (errors.plain), never
-raised; run_suite reports the first one it finds.
+with a counterexample of exact values, never raised; run_suite reports the
+first one it finds.
 
 The two flow identities are checked root by root from the stored p_const,
 p_slope and a, never from the kernel's T-root groups, and in integers: at
@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .dimcount import gt_count, weyl_dim
-from .errors import normal_float, plain
+from .errors import normal_float
 from .flow import (
     BoundsReport,
     FlowSolution,
@@ -102,13 +102,13 @@ class SuiteReport(namedtuple("SuiteReport", (
 
 
 def _counterexample(flag: ParabolicFlag, **fields) -> dict:
-    """A failing instance: its flag, then the fields in order, rationals as "p/q"
-    in full, at any length."""
+    """A failing instance: its flag, then the fields in order, as the check computed
+    them (Fractions, ints, tuples, text); json.dumps(default=errors.plain) writes it."""
     return {
         "family": flag.rs.family,
         "rank": flag.rs.rank,
         "theta": list(flag.theta),
-        **{name: plain(value) for name, value in fields.items()},
+        **fields,
     }
 
 

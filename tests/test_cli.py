@@ -544,7 +544,8 @@ def test_check_subcommand_reports_a_failing_suite(capsys, monkeypatch):
     assert res["exact_ok"] is False
     assert res["checks"]["scalar_volume_identity"] == {"pass": 0, "fail": 2}
     first = res["first_counterexample"]
-    assert first == oracle.run_suite(oracle.SuiteConfig(0)).first_counterexample
+    exact = oracle.run_suite(oracle.SuiteConfig(0)).first_counterexample
+    assert first == json.loads(json.dumps(exact, default=plain))
     assert (first["family"], first["rank"], first["theta"]) == ("A", 1, [])
     assert (first["check"], first["b"], first["t"]) == ("scalar_volume_identity", ["2"], "0")
 
@@ -1176,10 +1177,12 @@ def test_internal_checks_survive_optimization():
 
 def test_plain_writes_exact_values_and_refuses_other_objects():
     assert plain(Fraction(-3, 4)) == "-3/4"
-    assert plain((Fraction(2), [Fraction(1, 2), None, True, 1.5, "x"])) == [
-        "2", ["1/2", None, True, 1.5, "x"]]
-    with pytest.raises(TypeError, match="^complex is not JSON serializable$"):
-        plain(1j)
+    # json walks containers and writes scalars itself, and calls plain on each Fraction
+    assert json.dumps((Fraction(2), [Fraction(1, 2), None, True, 1.5, "x"]),
+                      default=plain) == '["2", ["1/2", null, true, 1.5, "x"]]'
+    for value in (1j, (Fraction(1),), [Fraction(1)], None, True, 1, 1.5, "x"):
+        with pytest.raises(TypeError, match=f"^{type(value).__name__} is not JSON serializable$"):
+            plain(value)
     with pytest.raises(TypeError, match="^set is not JSON serializable$"):
         json.dumps({"x": {1}}, default=plain)
 

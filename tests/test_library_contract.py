@@ -2,7 +2,8 @@
 every public function of rootsys, parabolic, flow, invariants, dimcount and oracle on
 A1-A3. Each call returns or raises DomainError with a short message; diameter_bound
 may raise OverflowError, as documented. Every oracle check on a flow returns
-outcomes, whose counterexamples are already JSON."""
+outcomes, whose counterexamples hold exact values that json.dumps writes with
+errors.plain."""
 
 import inspect
 import json
@@ -16,7 +17,7 @@ import flagflow.invariants as invariants
 import flagflow.oracle as oracle
 import flagflow.parabolic as parabolic
 import flagflow.rootsys as rootsys
-from flagflow.errors import DomainError
+from flagflow.errors import DomainError, plain
 
 MODULES = (rootsys, parabolic, flow, invariants, dimcount, oracle)
 HUGE = 10 ** 4300   # past Python's 4300-digit int-string limit
@@ -126,7 +127,7 @@ def test_every_public_function_returns_or_refuses(rank):
             got = outcomes(result)
             assert got and all(isinstance(x, oracle.CheckOutcome) for x in got), (name, result)
             for outcome in got:
-                json.dumps(outcome.counterexample)  # already JSON, at any length
+                json.dumps(outcome.counterexample, default=plain)  # at any length
     assert seen == public_functions(), public_functions() ^ seen
 
 

@@ -34,7 +34,7 @@ from flagflow import (
     scalar_curvature,
     volume,
 )
-from flagflow.errors import all_digits
+from flagflow.errors import all_digits, plain
 from flagflow.oracle import _counterexample, _proper_subsets
 
 BOUND_NAMES = (
@@ -84,7 +84,7 @@ def test_trajectory_bounds_report_each_failed_verdict(monkeypatch):
     outcomes = check_trajectory_bounds(a2_flow())
     assert not outcomes["volume_sandwich"].passed
     ce = outcomes["volume_sandwich"].counterexample
-    assert ce["check"] == "volume_sandwich" and ce["vol_coeff"] == "0" and ce["b"] == ["1", "2"]
+    assert ce["check"] == "volume_sandwich" and ce["vol_coeff"] == 0 and ce["b"] == (1, 2)
     assert outcomes["scalar_bounds"].passed and outcomes["ricci_bounds"].passed
 
 
@@ -236,14 +236,17 @@ def test_counterexamples_past_4300_digits_are_reported_in_full():
     exact, _ = check_ricci_identity(bad)
     assert out.passed is False and exact.passed is False
     ce, ce_exact = out.counterexample, exact.counterexample
-    assert max(len(ce["R"]), len(ce_exact["ricci_norm_sq"])) > 4300
+    t = ce["t"]
+    ps = [c + s * t for c, s in zip(bad.p_const, bad.p_slope)]
+    assert ce["R"] == sum((a / p for a, p in zip(bad.a, ps)), Fraction(0))
+    assert ce["kernel_R"] == scalar_curvature(bad, t)
+    assert ce_exact["kernel_ricci_norm_sq"] == ricci_norm_sq(bad, ce_exact["t"])
+    # and written in full
+    text, text_exact = json.loads(json.dumps([ce, ce_exact], default=plain))
+    assert max(len(text["R"]), len(text_exact["ricci_norm_sq"])) > 4300
     with all_digits():
-        t = Fraction(ce["t"])
-        ps = [c + s * t for c, s in zip(bad.p_const, bad.p_slope)]
-        assert Fraction(ce["R"]) == sum((a / p for a, p in zip(bad.a, ps)), Fraction(0))
-        assert Fraction(ce["kernel_R"]) == scalar_curvature(bad, t)
-        t = Fraction(ce_exact["t"])
-        assert Fraction(ce_exact["kernel_ricci_norm_sq"]) == ricci_norm_sq(bad, t)
+        assert Fraction(text["R"]) == ce["R"]
+        assert Fraction(text_exact["ricci_norm_sq"]) == ce_exact["ricci_norm_sq"]
 
 
 def test_corrupted_slopes_are_caught():
@@ -265,7 +268,7 @@ def test_corrupted_kernel_data_are_caught():
         corrupt = dataclasses.replace(fs, groups=(bad,) + fs.groups[1:])
         out = check_scalar_volume_identity(corrupt)
         assert not out.passed
-        assert out.counterexample["residual"] == "0"  # the per-root identity still holds
+        assert out.counterexample["residual"] == 0  # the per-root identity still holds
         assert out.counterexample["R"] != out.counterexample["kernel_R"]
         exact, _ = check_ricci_identity(corrupt)
         assert not exact.passed
@@ -388,8 +391,10 @@ def test_the_ricci_identity_is_decided_at_more_times_than_its_degree(monkeypatch
 def test_counterexamples_serialize_to_plain_strings():
     bad = corrupt_rates(a2_flow())
     ce = check_scalar_volume_identity(bad).counterexample
-    assert ce["b"] == ["1", "2"]
-    assert all(isinstance(v, (str, int, list)) for v in ce.values())
+    assert ce["b"] == (1, 2) and all(type(v) is Fraction for v in ce["b"])
+    text = json.loads(json.dumps(ce, default=plain))
+    assert text["b"] == ["1", "2"]
+    assert all(isinstance(v, (str, int, list)) for v in text.values())
 
 
 def test_brute_nef_frozen_values():
@@ -461,7 +466,7 @@ def suite_fails_first_with(name: str) -> dict:
     assert not rep.exact_ok and rep.checks[name]["fail"] > 0
     first = rep.first_counterexample
     assert first["check"] == name
-    json.dumps(first)
+    json.dumps(first, default=plain)
     return first
 
 
@@ -472,9 +477,9 @@ def test_a_wrong_flow_time_fails_nef_consistency_with_both_sides(monkeypatch):
     out = check_nef_consistency(p2, (Fraction(2),))
     assert out["nef_brute_match"].passed and not out["flow_nef_consistency"].passed
     ce = out["flow_nef_consistency"].counterexample
-    json.dumps(ce)
+    json.dumps(ce, default=plain)
     assert (ce["check"], ce["T"], ce["script_T"], ce["one_over_tau"]) == (
-        "flow_nef_consistency", "2/3", "4/3", "2/3")
+        "flow_nef_consistency", Fraction(2, 3), Fraction(4, 3), Fraction(2, 3))
     first = suite_fails_first_with("flow_nef_consistency")
     assert first["script_T"] != first["T"] == first["one_over_tau"]
 
@@ -486,9 +491,9 @@ def test_a_wrong_degree_fails_the_scale_law_it_breaks(monkeypatch):
     outcome = check_scale_laws(full, (Fraction(1), Fraction(2)), 3)
     assert not outcome.passed
     ce = outcome.counterexample
-    json.dumps(ce)
+    json.dumps(ce, default=plain)
     assert (ce["check"], ce["k"], ce["law"]) == ("scale_laws", 3, "degree(kD) = k^n degree")
-    assert (ce["left"], ce["right"]) == ("487", "513")  # 27 * 18 + 1 against 27 * (18 + 1)
+    assert (ce["left"], ce["right"]) == (487, 513)  # 27 * 18 + 1 against 27 * (18 + 1)
     assert suite_fails_first_with("scale_laws")["law"] == "degree(kD) = k^n degree"
 
 
@@ -526,10 +531,10 @@ def test_failing_suite_reports_the_first_counterexample_it_finds(monkeypatch):
     # the first instance run: A1, Theta empty, the Fano class, the first sampled time
     first = rep.first_counterexample
     assert (first["family"], first["rank"], first["theta"]) == ("A", 1, [])
-    assert (first["check"], first["b"], first["t"]) == ("scalar_volume_identity", ["2"], "0")
+    assert (first["check"], first["b"], first["t"]) == ("scalar_volume_identity", (2,), 0)
     # the types run as listed
     first = run_suite(SuiteConfig(types=(("A", 2), ("A", 1)))).first_counterexample
-    assert (first["rank"], first["theta"], first["b"]) == (2, [], ["2", "2"])
+    assert (first["rank"], first["theta"], first["b"]) == (2, [], (2, 2))
 
 
 def test_suite_is_deterministic_for_a_seed():

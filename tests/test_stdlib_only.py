@@ -5,55 +5,61 @@ import ast
 import dataclasses
 import importlib
 import inspect
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import flagflow
+from test_cli import process_env
+
+SOURCES = sorted(Path(flagflow.__file__).parent.glob("*.py"))
+
+
+def imports(path: Path) -> list[tuple[str, str | None]]:
+    """(module, name) for each name a flagflow module imports: (module, None) for
+    `import module`, and a relative module with its leading dots, as written."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            found += [(module, alias.name) for alias in node.names]
+    return found
 
 
 def test_package_imports_only_the_standard_library():
-    sources = sorted(Path(flagflow.__file__).parent.glob("*.py"))
-    assert sources
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
+    assert SOURCES
+    for path in SOURCES:
+        for module, _ in imports(path):
+            if not module.startswith("."):
+                assert module.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {module}"
 
 
 def test_only_the_cli_imports_json():
-    # one JSON writer: the other modules hand exact values to it, or to errors.plain,
-    # and encode nothing themselves
-    sources = sorted(Path(flagflow.__file__).parent.glob("*.py"))
-    importers = []
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            if "json" in [name.split(".")[0] for name in names]:
-                importers.append(path.name)
+    # one JSON writer: the other modules hand it exact values, which it writes through
+    # errors.plain, and encode nothing themselves
+    importers = [path.name for path in SOURCES
+                 if any(module.split(".")[0] == "json" for module, _ in imports(path))]
     assert importers == ["cli.py"]
 
 
+def test_only_the_writer_and_the_symbolic_radius_name_plain():
+    # plain is json.dumps' default in the CLI's one writer; invariants_of's "pi*p/q"
+    # radius is the one text made in the library. The rest hand out exact values
+    namers = [path.name for path in SOURCES if path.name != "errors.py"
+              and any(name == "plain" for _, name in imports(path))]
+    assert namers == ["cli.py", "invariants.py"]
+
+
 def test_only_errors_and_the_cli_apply_the_digit_and_float_rules():
-    # plain() writes exact values at any length and normal_float() is the one float rule;
+    # plain() writes rationals at any length and normal_float() is the one float rule;
     # the CLI lifts the digit limit itself only to read input and to write raw ints
     allowed = {"all_digits": {"cli.py", "errors.py"},
                "set_int_max_str_digits": {"cli.py", "errors.py"},
                "float_info": {"errors.py"}}
     mentioned = {}
-    for path in sorted(Path(flagflow.__file__).parent.glob("*.py")):
+    for path in SOURCES:
         names = mentioned[path.name] = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
@@ -77,7 +83,7 @@ def test_a_brief_result_is_never_escaped_again():
 
     collections = (ast.List, ast.Tuple, ast.Set, ast.ListComp, ast.SetComp, ast.GeneratorExp)
     found = []
-    for path in sorted(Path(flagflow.__file__).parent.glob("*.py")):
+    for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
@@ -101,16 +107,10 @@ def test_a_brief_result_is_never_escaped_again():
 FRESH = [sys.executable, "-S"]
 
 
-def fresh_env() -> dict:
-    src = str(Path(flagflow.__file__).parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 def test_cli_import_leaves_out_csv():
     # csv served only --format csv; a fresh process shows what start-up imports
     code = "import sys, flagflow.cli; print('csv' in sys.modules)"
-    out = subprocess.run([*FRESH, "-c", code], env=fresh_env(), capture_output=True,
+    out = subprocess.run([*FRESH, "-c", code], env=process_env(), capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out == "False\n"
 
@@ -122,7 +122,7 @@ def test_start_up_leaves_out_the_oracle_and_invariants():
     a2 = ["--type", "A", "--rank", "2"]
     for args in (["-c", "import flagflow.cli"], ["-m", "flagflow.cli", "describe", *a2],
                  ["-m", "flagflow.cli", "flow", *a2, "--class", "1,2"]):
-        err = subprocess.run([*FRESH, "-X", "importtime", *args], env=fresh_env(),
+        err = subprocess.run([*FRESH, "-X", "importtime", *args], env=process_env(),
                              capture_output=True, text=True, timeout=60, check=True).stderr
         loaded = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()}
         assert "flagflow.flow" in loaded, err[-300:]
@@ -137,7 +137,7 @@ def test_no_command_loads_dataclasses_or_inspect():
                  ["-m", "flagflow.cli", "flow", *a2, "--class", "1,2"],
                  ["-m", "flagflow.cli", "invariants", *a2, "--divisor", "1,1", "--lct-m", "1"],
                  ["-m", "flagflow.cli", "check", "--seed", "0"]):
-        err = subprocess.run([*FRESH, "-X", "importtime", *args], env=fresh_env(),
+        err = subprocess.run([*FRESH, "-X", "importtime", *args], env=process_env(),
                              capture_output=True, text=True, timeout=120, check=True).stderr
         loaded = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()}
         assert "flagflow.flow" in loaded, err[-300:]
@@ -147,20 +147,12 @@ def test_no_command_loads_dataclasses_or_inspect():
 def test_flow_solution_is_the_only_dataclass_and_typing_stays_out():
     # each dataclass costs about 1.5 ms to create on every start-up, and importing typing
     # 5-25 ms; records read by field are namedtuples instead
-    sources = sorted(Path(flagflow.__file__).parent.glob("*.py"))
     found = []
-    for path in sources:
+    for path in SOURCES:
         module = importlib.import_module(f"flagflow.{path.stem}".removesuffix(".__init__"))
         found += [name for name, value in vars(module).items() if inspect.isclass(value)
                   and value.__module__ == module.__name__ and dataclasses.is_dataclass(value)]
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert "typing" not in [name.split(".")[0] for name in names], path.name
+        assert "typing" not in [name.split(".")[0] for name, _ in imports(path)], path.name
     assert found == ["FlowSolution"], (
         "only FlowSolution may be a dataclass, because the gate's negative controls "
         "(tests/test_acceptance.py) corrupt a trajectory with dataclasses.replace; "
