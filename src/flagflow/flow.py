@@ -119,31 +119,6 @@ class BoundsReport(namedtuple("BoundsReport", (
     def within(self) -> bool:
         return all(self.verdicts().values())
 
-    @classmethod
-    def from_values(cls, fs: FlowSolution, t: Fraction, r: Fraction, ricci: Fraction,
-                    vol: Fraction, v0: Fraction) -> BoundsReport:
-        """The bounds at t around the values R = r, |Ric|^2 = ricci and the volume
-        coefficients vol at t and v0 at 0."""
-        n = fs.flag.n
-        gap = fs.T - t
-        r_sq = r ** 2  # a power of a reduced fraction needs no gcd, unlike r * r
-        shrink = gap / fs.T  # 1 - t/T
-        r_upper = n / gap
-        return cls(
-            R=r,
-            R_lower=1 / gap,
-            R_upper=r_upper,
-            ricci_norm_sq=ricci,
-            ricci_norm_sq_lower=r_sq / n,
-            ricci_norm_sq_upper=r_sq,
-            vol_coeff=vol,
-            vol_coeff_lower=shrink ** n * v0,
-            vol_coeff_upper=shrink * v0,
-            lambda1_lower=2 / fs.C,
-            lambda1_upper=r * fs.flag.eigen_ratio,
-            r_upper_attained=(r == r_upper),  # reduced fractions compare without a gcd
-        )
-
 
 def make_flow(flag: ParabolicFlag, b: KahlerClass) -> FlowSolution:
     """Solve the flow for the initial class sum b_alpha * w_alpha."""
@@ -224,9 +199,26 @@ def bounds_report(fs: FlowSolution, t) -> BoundsReport:
     """
     t = _check_time(fs, t)
     L, ms = _numerators(fs, t)
-    return BoundsReport.from_values(
-        fs, t, _rate_sum(fs.groups, L, ms, 1), _rate_sum(fs.groups, L, ms, 2),
-        _volume(fs.flag, fs.groups, L, ms), fs.v0)
+    n = fs.flag.n
+    r = _rate_sum(fs.groups, L, ms, 1)
+    r_sq = r ** 2  # a power of a reduced fraction needs no gcd, unlike r * r
+    gap = fs.T - t
+    shrink = gap / fs.T  # 1 - t/T
+    r_upper = n / gap
+    return BoundsReport(
+        R=r,
+        R_lower=1 / gap,
+        R_upper=r_upper,
+        ricci_norm_sq=_rate_sum(fs.groups, L, ms, 2),
+        ricci_norm_sq_lower=r_sq / n,
+        ricci_norm_sq_upper=r_sq,
+        vol_coeff=_volume(fs.flag, fs.groups, L, ms),
+        vol_coeff_lower=shrink ** n * fs.v0,
+        vol_coeff_upper=shrink * fs.v0,
+        lambda1_lower=2 / fs.C,
+        lambda1_upper=r * fs.flag.eigen_ratio,
+        r_upper_attained=(r == r_upper),  # reduced fractions compare without a gcd
+    )
 
 
 def diameter_bound(fs: FlowSolution) -> tuple[float, Fraction]:

@@ -5,15 +5,15 @@ points than their degree, never by symbolic algebra. Floating
 finite-difference checks are advisory and reported under their own
 names; the exact checks are the contract, and a flow past the normal float
 range fails the finite-difference check with the reason. Failures are reported
-with a counterexample of exact values, never raised; run_suite reports the
-first one it finds.
+with a counterexample of exact values, never raised, a check's division by a
+P_beta(t) = 0 included; run_suite reports the first one it finds.
 
 The two flow identities are checked root by root from the stored p_const,
 p_slope and a, never from the kernel's T-root groups, and in integers: at
 each time every P_beta is put over one denominator, so each comparison is one
-integer equality. The bound chains are decided the same way, each bound as one
-comparison of integer products, and bounds_report is compared with them once
-per instance. Fractions are built only for a counterexample.
+integer equality. The bounds hold on all of [0, T) by integer facts per root,
+and bounds_report is compared with the per-root sums once per instance.
+Fractions are built only for a counterexample.
 
 brute_nef takes, for each denominator q of its grid, the least numerator p
 directly, as the largest ceiling of q * l_alpha / d_alpha.
@@ -31,7 +31,6 @@ from itertools import combinations, product
 from .dimcount import gt_count, weyl_dim
 from .errors import normal_float
 from .flow import (
-    BoundsReport,
     FlowSolution,
     bounds_report,
     make_flow,
@@ -51,7 +50,6 @@ DEFAULT_TYPES = (
 FD_CHECKS = frozenset({"ricci_identity_fd"})
 
 MAX_COEFF = 10              # bound for random b numerators/denominators
-SAMPLES_PER_INSTANCE = 10   # sampled times per instance for bound chains
 FD_STEP = 1e-6
 FD_TOL = 1e-6               # relative
 MAX_Q = 64                  # nef brute-force denominator bound
@@ -117,13 +115,13 @@ def _sample(T: Fraction, k: int, parts: int) -> Fraction:
     return Fraction(T.numerator * k, T.denominator * parts)
 
 
-def _cleared(fs: FlowSolution, parts: int):
-    """(t, L, [M_beta]) at t = T k / parts for k = 0..parts-1, with P_beta(t) = M_beta / L
+def _cleared(fs: FlowSolution, parts: int, first: int = 0):
+    """(t, L, [M_beta]) at t = T k / parts for k = first..parts-1, with P_beta(t) = M_beta / L
     read from p_const and p_slope alone: L = lcm(den(t), denominators of p_const),
     every M_beta an integer. p_const is put over its own lcm D once."""
     D = math.lcm(*(c.denominator for c in fs.p_const))
     nums = [c.numerator * (D // c.denominator) for c in fs.p_const]
-    for k in range(parts):
+    for k in range(first, parts):
         t = _sample(fs.T, k, parts)
         L = math.lcm(D, t.denominator)
         scale, shift = L // D, t.numerator * (L // t.denominator)
@@ -226,88 +224,81 @@ def check_ricci_identity(fs: FlowSolution) -> tuple[CheckOutcome, CheckOutcome]:
 
 
 def check_trajectory_bounds(fs: FlowSolution) -> dict[str, CheckOutcome]:
-    """The verdicts of bounds_report, plus monotone R, Einstein closure and collapse
-    at T, decided in integers at SAMPLES_PER_INSTANCE times.
+    """The bounds on all of [0, T), proved root by root, and the collapse at T.
 
-    At t = T k / parts, with P_beta = M_beta / L (_cleared) root by root, the sums
-    X / D = sum a_beta / M_beta and Y / D = sum a_beta^2 / M_beta^2 over
-    D = prod M_beta^2 give R = L X / D and |Ric|^2 = L^2 Y / D, and Q = prod M_beta
-    gives the volume coefficient Q / (L^n prod_beta <rho, h_beta^v>). With
-    T - t = g / h and 1 - t/T = s / parts, s = parts - k, each bound is a comparison
-    of integer products (D, h, L > 0):
+    With P_beta(t) = p_const_beta + p_slope_beta t, the premises are: the root
+    count is n; a_beta > 0, P_beta(0) > 0 and P_beta(T) >= 0; p_slope_beta =
+    -a_beta; some P_beta(T) = 0; on an Einstein flow, every P_beta(T) = 0. Then
+    P_beta(t) = P_beta(T) + a_beta (T - t) > 0 on [0, T), and at every such t
+      scalar_bounds     each a_beta / P_beta(t) <= 1/(T - t), equal where P_beta(T) = 0;
+      ricci_bounds      Cauchy-Schwarz over the n positive terms a_beta / P_beta(t);
+      volume_sandwich   each P_beta(t)/P_beta(0) is in [1 - t/T, 1], 1 - t/T where
+                        P_beta(T) = 0;
+      monotone_scalar   dR/dt = sum a_beta^2 / P_beta(t)^2 > 0;
+      einstein_closure  every a_beta / P_beta(t) = 1/(T - t).
+    scalar_bounds and volume_sandwich use the first four premises, ricci_bounds two,
+    monotone_scalar three and einstein_closure all; a bound fails exactly when one of
+    them fails, naming the premise and the first root it fails at (for some
+    P_beta(T) = 0, a root of least P_beta(T)) with that root's a, P_0 and p_slope.
+    Each sign is that of the integer den(P_beta(0)) den(T) P_beta(T), and
+    einstein_closure is decided on an Einstein flow only.
 
-        1 <= R (T - t) <= n                  h D <= L X g <= n h D
-        R^2 / n <= |Ric|^2 <= R^2            Y D <= X^2 <= n Y D
-        (s/parts)^n vol(0) <= vol(t)         s^n Q_0 L^n <= parts^n Q L_0^n
-        vol(t) <= (s/parts) vol(0)           parts Q L_0^n <= s Q_0 L^n
-
-    and so are R(t) > R(t') for the time t' before, and R (T - t) = n on an
-    Einstein flow. At the last sampled time bounds_report's R, |Ric|^2, volume
-    coefficient and verdicts must equal these, so the flow kernel stays under
-    check. The collapse at T reads volume(fs, T). Fractions are built only for
-    a counterexample.
+    The flow kernel stays under check: at t = 9T/10 bounds_report's R, |Ric|^2 and
+    volume must equal the per-root sums (_cleared), one product comparison each, and
+    its verdicts must hold. The collapse at T reads volume(fs, T).
     """
-    n = fs.flag.n
-    parts = SAMPLES_PER_INSTANCE
+    n, T = fs.flag.n, fs.T
+    roots = list(zip(fs.a, fs.p_const, fs.p_slope))
+    ends = [c.numerator * T.denominator + s * T.numerator * c.denominator for _, c, s in roots]
     outcomes: dict[str, CheckOutcome] = {}
 
-    def fail(name: str, t, **extra) -> None:
+    def fail(name: str, **extra) -> None:
         outcomes.setdefault(name, CheckOutcome(False, _counterexample(
-            fs.flag, b=fs.b0, check=name, t=t, **extra)))
+            fs.flag, b=fs.b0, check=name, **extra)))
 
-    h = fs.T.denominator * parts
-    prev = None  # (L X, D) at the time before
-    for k, (t, L, ms) in enumerate(_cleared(fs, parts)):
-        x, y, d = _common_sums([(a * m, a * a, m * m) for a, m in zip(fs.a, ms)])
-        q, ln = math.prod(ms), L ** n
-        if k == 0:
-            q0, l0n = q, ln
-        s = parts - k
-        lx = L * x
-        rg, hd = lx * fs.T.numerator * s, h * d  # R (T - t) = L X g / (h D)
-        verdicts = {
-            "scalar_bounds": hd <= rg <= n * hd,
-            "ricci_bounds": y * d <= x * x <= n * y * d,
-            "volume_sandwich": (s ** n * q0 * ln <= parts ** n * q * l0n
-                                and parts * q * l0n <= s * q0 * ln),
-        }
-        if not all(verdicts.values()):
-            rho_product = fs.flag.rho_product
-            rep = BoundsReport.from_values(
-                fs, t, Fraction(lx, d), Fraction(L * L * y, d),
-                Fraction(q, ln * rho_product), Fraction(q0, l0n * rho_product))
-            for name, holds in verdicts.items():
-                if not holds:
-                    fail(name, t, **rep._asdict())
-        if prev is not None and not lx * prev[1] > prev[0] * d:
-            fail("monotone_scalar", t, R=Fraction(lx, d), previous=Fraction(*prev))
-        if fs.einstein and rg != n * hd:
-            fail("einstein_closure", t, R_times_gap=Fraction(rg, hd), n=n)
-        if k == parts - 1:
-            rep = bounds_report(fs, t)
-            kernel = rep.verdicts()
-            agree = {
-                "scalar_bounds": rep.R.numerator * d == rep.R.denominator * lx,
-                "ricci_bounds": rep.ricci_norm_sq.numerator * d
-                == rep.ricci_norm_sq.denominator * L * L * y,
-                "volume_sandwich": rep.vol_coeff.numerator * ln * fs.flag.rho_product
-                == rep.vol_coeff.denominator * q,
-            }
-            for name, same in agree.items():
-                if not (same and kernel[name] == verdicts[name]):
-                    fail(name, t, **rep._asdict())
-        prev = lx, d
+    def first(holds) -> int | None:
+        """The first root at which holds(a, P_beta(0), slope, end) fails, or None."""
+        return next((i for i, (root, end) in enumerate(zip(roots, ends))
+                     if not holds(*root, end)), None)
 
-    vol_at_T = volume(fs, fs.T)
+    every = ("scalar_bounds", "ricci_bounds", "volume_sandwich", "monotone_scalar",
+             "einstein_closure")
+    for premise, i, uses in (  # premise, the root it fails at or None, the bounds using it
+            ("root count is n", None if len(fs.a) == len(fs.p_const) == len(fs.p_slope) == n
+             else min(len(roots), n), every),
+            ("a_beta > 0, P_beta(0) > 0, P_beta(T) >= 0",
+             first(lambda a, c, s, end: a > 0 and c > 0 and end >= 0), every),
+            ("p_slope_beta = -a_beta", first(lambda a, c, s, end: s == -a),
+             ("scalar_bounds", "volume_sandwich", "monotone_scalar", "einstein_closure")),
+            ("some P_beta(T) = 0", None if 0 in ends else min(
+                range(len(roots)), key=lambda i: roots[i][1] + roots[i][2] * T, default=0),
+             ("scalar_bounds", "volume_sandwich", "einstein_closure")),
+            ("every P_beta(T) = 0", first(lambda a, c, s, end: end == 0),
+             ("einstein_closure",))):
+        if i is not None:
+            values = dict(zip(("a", "P_0", "p_slope"), roots[i])) if i < len(roots) else {}
+            for name in uses:
+                fail(name, premise=premise, root=i, **values)
+
+    (t, L, ms), = _cleared(fs, 10, 9)
+    x, y, d = _common_sums([(a * m, a * a, m * m) for a, m in zip(fs.a, ms)])
+    rep = bounds_report(fs, t)
+    agree = {
+        "scalar_bounds": rep.R.numerator * d == rep.R.denominator * L * x,
+        "ricci_bounds": rep.ricci_norm_sq.numerator * d
+        == rep.ricci_norm_sq.denominator * L * L * y,
+        "volume_sandwich": rep.vol_coeff.numerator * L ** n * fs.flag.rho_product
+        == rep.vol_coeff.denominator * math.prod(ms),
+    }
+    for name, holds in rep.verdicts().items():
+        if not (holds and agree[name]):
+            fail(name, t=t, **rep._asdict())
+
+    vol_at_T = volume(fs, T)
     if vol_at_T != 0:
-        fail("volume_zero_at_T", fs.T, vol=vol_at_T)
-
-    for name in ("scalar_bounds", "ricci_bounds", "volume_sandwich",
-                 "monotone_scalar", "volume_zero_at_T"):
-        outcomes.setdefault(name, CheckOutcome(True))
-    if fs.einstein:
-        outcomes.setdefault("einstein_closure", CheckOutcome(True))
-    return outcomes
+        fail("volume_zero_at_T", t=T, vol=vol_at_T)
+    names = every[:4] + ("volume_zero_at_T",) + every[4:] * fs.einstein
+    return {name: outcomes.get(name, CheckOutcome(True)) for name in names}
 
 
 def brute_nef(flag: ParabolicFlag, coeffs) -> Fraction | None:
@@ -429,10 +420,18 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
             for b in classes:
                 fs = make_flow(flag, b)
                 instances += 1
-                record(scalar_volume_identity=check_scalar_volume_identity(fs),
-                       **dict(zip(("ricci_identity_exact", "ricci_identity_fd"),
-                                  check_ricci_identity(fs))),
-                       **check_trajectory_bounds(fs))
+                for name, check in (
+                        ("scalar_volume_identity", lambda: {
+                            "scalar_volume_identity": check_scalar_volume_identity(fs)}),
+                        ("ricci_identity_exact", lambda: dict(zip(
+                            ("ricci_identity_exact", "ricci_identity_fd"),
+                            check_ricci_identity(fs)))),
+                        ("scalar_bounds", lambda: check_trajectory_bounds(fs))):
+                    try:
+                        record(**check())
+                    except ZeroDivisionError as exc:  # some P_beta(t) = 0 before T
+                        record(**{name: CheckOutcome(False, _counterexample(
+                            flag, b=fs.b0, check=name, error=str(exc)))})
             divisor = tuple(
                 Fraction(rng.randint(1, MAX_COEFF)) for _ in flag.complement)
             record(**check_nef_consistency(flag, divisor),

@@ -575,6 +575,33 @@ def test_a_failing_check_prints_its_counterexample_as_recorded(capsys, monkeypat
     assert out == json.loads(FAILING_CHECK_GOLDEN.read_text())[fault]
 
 
+def test_a_flow_whose_p_beta_vanishes_before_T_fails_check_without_a_traceback(
+        capsys, monkeypatch):
+    # the last a_beta one too large: on A1, P_beta(t) = b - 3t vanishes at 2T/3, a time at
+    # which the identity checks evaluate the flow kernel
+    config = oracle.SuiteConfig
+    monkeypatch.setattr(oracle, "SuiteConfig", lambda seed: config(
+        types=(("A", 1),), classes_per_flag=1, seed=seed))
+    build = oracle.build_flag
+
+    def corrupt_flag(rs, theta):
+        flag = build(rs, theta)
+        return flag._replace(a=flag.a[:-1] + (flag.a[-1] + 1,))
+
+    monkeypatch.setattr(oracle, "build_flag", corrupt_flag)
+    assert main(["check", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    res = json.loads(captured.out)["result"]
+    assert res["exact_ok"] is False
+    for name in ("scalar_bounds", "ricci_bounds", "volume_sandwich", "monotone_scalar",
+                 "einstein_closure"):
+        assert res["checks"][name]["fail"] > 0, name
+    first = res["first_counterexample"]
+    assert (first["family"], first["theta"], first["b"]) == ("A", [], ["2"])
+    assert first["check"] == "scalar_volume_identity" and first["error"]
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["describe"]) == 2

@@ -89,8 +89,8 @@ def test_trajectory_bounds_report_each_failed_verdict(monkeypatch):
 
 
 def reference_trajectory_bounds(fs):
-    """check_trajectory_bounds as a loop over bounds_report at each of the ten sampled
-    times: the reference."""
+    """The bound checks as a loop over bounds_report at ten sampled times: the reference,
+    whose every failure check_trajectory_bounds must also report."""
     outcomes = {}
 
     def fail(name, t, **extra):
@@ -149,8 +149,8 @@ def test_integer_bound_chain_matches_the_report_loop(seed, monkeypatch):
 
 
 # changes that the kernel and the per-root sums both see; between them they break
-# each side of every bound but monotone_scalar, which holds on any flow whose slopes
-# are -a (dR/dt = |Ric|^2)
+# each side of every bound. After T raised, R has its pole at T / 1.001 of the new T,
+# past the last sampled time 9T/10, so only the certificate fails monotone_scalar there
 CONSISTENT = {
     "T lowered": lambda fs: dataclasses.replace(fs, T=fs.T * 2 / 3),
     "T raised": lambda fs: dataclasses.replace(fs, T=fs.T * 1001 / 1000),
@@ -159,17 +159,40 @@ CONSISTENT = {
 }
 
 
-def test_integer_bound_chain_matches_the_report_loop_on_changed_flows(monkeypatch):
-    """The suite's instances changed consistently: the same failures and
-    counterexamples as bounds_report at every sampled time."""
+def failures(outcomes):
+    return {name for name, out in outcomes.items() if not out.passed}
+
+
+def test_the_certificate_fails_every_bound_the_report_loop_fails_on_changed_flows(
+        monkeypatch):
+    """The suite's instances changed consistently: every bound that bounds_report fails
+    at a sampled time fails check_trajectory_bounds too, which proves the bounds on all
+    of [0, T) and so may fail more."""
     failed = Counter()
     for honest in suite_flows(0, monkeypatch):
         for change, corrupt in CONSISTENT.items():
             fs = corrupt(honest)
             outcomes = check_trajectory_bounds(fs)
-            assert outcomes == reference_trajectory_bounds(fs), (change, fs.flag.theta)
-            failed.update(name for name, out in outcomes.items() if not out.passed)
-    assert set(failed) == {*BOUND_NAMES, "einstein_closure"} - {"monotone_scalar"}, failed
+            assert failures(reference_trajectory_bounds(fs)) <= failures(outcomes), (
+                change, fs.flag.theta)
+            failed.update(failures(outcomes))
+    assert set(failed) == {*BOUND_NAMES, "einstein_closure"}, failed
+
+
+def test_a_pole_before_T_and_a_surplus_root_fail_the_premises_they_break():
+    ke = a2_flow((Fraction(2), Fraction(2)))
+    late = check_trajectory_bounds(CONSISTENT["T raised"](ke))
+    # the sampled times stop at 9T/10, before the pole at T / 1.001
+    sampled = failures(reference_trajectory_bounds(CONSISTENT["T raised"](ke)))
+    assert not sampled & {"monotone_scalar", "ricci_bounds"}
+    for name in ("monotone_scalar", "ricci_bounds"):
+        ce = late[name].counterexample
+        assert (ce["check"], ce["premise"], ce["root"]) == (
+            name, "a_beta > 0, P_beta(0) > 0, P_beta(T) >= 0", 0)
+        assert (ce["a"], ce["P_0"], ce["p_slope"]) == (2, 2, -2)  # P_beta(T) = -1/500
+    doubled = check_trajectory_bounds(CONSISTENT["root doubled"](ke))
+    ce = doubled["ricci_bounds"].counterexample
+    assert (ce["premise"], ce["root"], ce["a"]) == ("root count is n", ke.flag.n, ke.a[0])
 
 
 def shifted_report(**shift):
