@@ -1,12 +1,11 @@
 """Independent verification harness for the flow and divisor formulas.
 
-Polynomial identities are verified by exact evaluation at more rational
-points than their degree, never by symbolic algebra. Floating
-finite-difference checks are advisory and reported under their own
-names; the exact checks are the contract, and a flow past the normal float
-range fails the finite-difference check with the reason. Failures are reported
-with a counterexample of exact values, never raised, a check's division by a
-P_beta(t) = 0 included; run_suite reports the first one it finds.
+Polynomial identities are verified by exact evaluation at more rational points than
+their degree, never by symbolic algebra. Floating finite-difference checks are advisory
+and reported under their own names; the exact checks are the contract. No check raises.
+A failure has a counterexample of exact values: at a pole, some P_beta(t) = 0 at a time
+the check samples, t and the root; for a finite-difference check that a pole or the
+float range stops, the reason. run_suite reports the first one it finds.
 
 The two flow identities are checked root by root from the stored p_const,
 p_slope and a, never from the kernel's T-root groups, and in integers: at
@@ -147,14 +146,17 @@ def check_scalar_volume_identity(fs: FlowSolution) -> CheckOutcome:
 
         R = L sum a_beta E_beta / Q_M,   Q' = sum s_beta E_beta / L^(n-1),
 
-    and the residual R Q + Q' = sum (a_beta + s_beta) E_beta / L^(n-1) is zero
-    iff that integer sum is. R reads the stored coefficients a_beta and Q'
-    the stored slopes s_beta; the two only cancel when slope = -a. The flow
-    kernel's grouped R must equal the per-root R at every point, compared by
-    cross-multiplying integers. Fractions are built only for a counterexample.
+    and the residual R Q + Q' = sum (a_beta + s_beta) E_beta / L^(n-1) is zero iff that
+    integer sum is. R reads the stored coefficients a_beta and Q' the stored slopes
+    s_beta; the two only cancel when slope = -a. The flow kernel's grouped R must equal
+    the per-root R at every point, compared by cross-multiplying integers. A pole at a
+    sampled t fails with t and the root. Fractions are built only for a counterexample.
     """
     n = fs.flag.n
     for t, L, ms in _cleared(fs, n + 2):
+        if 0 in ms:
+            return CheckOutcome(False, _counterexample(
+                fs.flag, b=fs.b0, check="scalar_volume_identity", t=t, root=ms.index(0)))
         residual, r, q = _common_sums(
             [(a + s, a, m) for a, s, m in zip(fs.a, fs.p_slope, ms)])
         kernel_r = scalar_curvature(fs, t)
@@ -179,17 +181,21 @@ def check_ricci_identity(fs: FlowSolution) -> tuple[CheckOutcome, CheckOutcome]:
         dR/dt = L^2 sum -a_beta s_beta E_beta^2 / Q_M^2,
         |Ric|^2 = L^2 sum a_beta^2 E_beta^2 / Q_M^2:
 
-    the derivative side uses the stored slopes, the norm side the stored
-    coefficients, so corrupting either one breaks the equality of the two
-    integer sums. Times Q^2, both sides are polynomials of degree <= 2n - 2,
-    so equality at max(n + 2, 2n) rational points forces the identity. The
-    flow kernel's grouped |Ric|^2 must equal them at the same points,
-    compared by cross-multiplying integers. Fractions are built only for a
-    counterexample. Returns (exact outcome, finite-difference outcome).
+    the derivative side uses the stored slopes, the norm side the stored coefficients,
+    so corrupting either one breaks the equality of the two integer sums. Times Q^2,
+    both sides are polynomials of degree <= 2n - 2, so equality at max(n + 2, 2n)
+    rational points forces the identity. The flow kernel's grouped |Ric|^2 must equal
+    them at the same points, compared by cross-multiplying integers. A pole at a sampled
+    t fails with t and the root, the float check with the reason. Fractions are built
+    only for a counterexample. Returns (exact outcome, finite-difference outcome).
     """
     n = fs.flag.n
     exact = CheckOutcome(True)
     for t, L, ms in _cleared(fs, max(n + 2, 2 * n)):
+        if 0 in ms:
+            exact = CheckOutcome(False, _counterexample(
+                fs.flag, b=fs.b0, check="ricci_identity_exact", t=t, root=ms.index(0)))
+            break
         lhs, rhs, q_sq = _common_sums(
             [(-a * s, a * a, m * m) for a, s, m in zip(fs.a, fs.p_slope, ms)])
         kernel = ricci_norm_sq(fs, t)
@@ -217,7 +223,7 @@ def check_ricci_identity(fs: FlowSolution) -> tuple[CheckOutcome, CheckOutcome]:
                     finite_difference=repr(diff), ricci_norm_sq=repr(truth),
                     relative_error=repr(rel)))
                 break
-    except OverflowError as exc:  # a flow past the normal float range has no float check
+    except (OverflowError, ZeroDivisionError) as exc:  # past the float range, or a pole
         fd = CheckOutcome(False, _counterexample(
             fs.flag, b=fs.b0, check="ricci_identity_fd", reason=str(exc)))
     return exact, fd
@@ -243,9 +249,9 @@ def check_trajectory_bounds(fs: FlowSolution) -> dict[str, CheckOutcome]:
     Each sign is that of the integer den(P_beta(0)) den(T) P_beta(T), and
     einstein_closure is decided on an Einstein flow only.
 
-    The flow kernel stays under check: at t = 9T/10 bounds_report's R, |Ric|^2 and
-    volume must equal the per-root sums (_cleared), one product comparison each, and
-    its verdicts must hold. The collapse at T reads volume(fs, T).
+    The flow kernel stays under check: at t = 9T/10, unless a pole there has failed the
+    sign premise, bounds_report's R, |Ric|^2 and volume must equal the per-root sums,
+    one product comparison each, and its verdicts must hold; volume(fs, T) must be 0.
     """
     n, T = fs.flag.n, fs.T
     roots = list(zip(fs.a, fs.p_const, fs.p_slope))
@@ -281,18 +287,19 @@ def check_trajectory_bounds(fs: FlowSolution) -> dict[str, CheckOutcome]:
                 fail(name, premise=premise, root=i, **values)
 
     (t, L, ms), = _cleared(fs, 10, 9)
-    x, y, d = _common_sums([(a * m, a * a, m * m) for a, m in zip(fs.a, ms)])
-    rep = bounds_report(fs, t)
-    agree = {
-        "scalar_bounds": rep.R.numerator * d == rep.R.denominator * L * x,
-        "ricci_bounds": rep.ricci_norm_sq.numerator * d
-        == rep.ricci_norm_sq.denominator * L * L * y,
-        "volume_sandwich": rep.vol_coeff.numerator * L ** n * fs.flag.rho_product
-        == rep.vol_coeff.denominator * math.prod(ms),
-    }
-    for name, holds in rep.verdicts().items():
-        if not (holds and agree[name]):
-            fail(name, t=t, **rep._asdict())
+    if 0 not in ms:
+        x, y, d = _common_sums([(a * m, a * a, m * m) for a, m in zip(fs.a, ms)])
+        rep = bounds_report(fs, t)
+        agree = {
+            "scalar_bounds": rep.R.numerator * d == rep.R.denominator * L * x,
+            "ricci_bounds": rep.ricci_norm_sq.numerator * d
+            == rep.ricci_norm_sq.denominator * L * L * y,
+            "volume_sandwich": rep.vol_coeff.numerator * L ** n * fs.flag.rho_product
+            == rep.vol_coeff.denominator * math.prod(ms),
+        }
+        for name, holds in rep.verdicts().items():
+            if not (holds and agree[name]):
+                fail(name, t=t, **rep._asdict())
 
     vol_at_T = volume(fs, T)
     if vol_at_T != 0:
@@ -420,18 +427,10 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
             for b in classes:
                 fs = make_flow(flag, b)
                 instances += 1
-                for name, check in (
-                        ("scalar_volume_identity", lambda: {
-                            "scalar_volume_identity": check_scalar_volume_identity(fs)}),
-                        ("ricci_identity_exact", lambda: dict(zip(
-                            ("ricci_identity_exact", "ricci_identity_fd"),
-                            check_ricci_identity(fs)))),
-                        ("scalar_bounds", lambda: check_trajectory_bounds(fs))):
-                    try:
-                        record(**check())
-                    except ZeroDivisionError as exc:  # some P_beta(t) = 0 before T
-                        record(**{name: CheckOutcome(False, _counterexample(
-                            flag, b=fs.b0, check=name, error=str(exc)))})
+                exact, fd = check_ricci_identity(fs)
+                record(scalar_volume_identity=check_scalar_volume_identity(fs),
+                       ricci_identity_exact=exact, ricci_identity_fd=fd,
+                       **check_trajectory_bounds(fs))
             divisor = tuple(
                 Fraction(rng.randint(1, MAX_COEFF)) for _ in flag.complement)
             record(**check_nef_consistency(flag, divisor),

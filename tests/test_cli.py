@@ -578,7 +578,7 @@ def test_a_failing_check_prints_its_counterexample_as_recorded(capsys, monkeypat
 def test_a_flow_whose_p_beta_vanishes_before_T_fails_check_without_a_traceback(
         capsys, monkeypatch):
     # the last a_beta one too large: on A1, P_beta(t) = b - 3t vanishes at 2T/3, a time at
-    # which the identity checks evaluate the flow kernel
+    # which the identity checks sample the flow
     config = oracle.SuiteConfig
     monkeypatch.setattr(oracle, "SuiteConfig", lambda seed: config(
         types=(("A", 1),), classes_per_flag=1, seed=seed))
@@ -597,9 +597,15 @@ def test_a_flow_whose_p_beta_vanishes_before_T_fails_check_without_a_traceback(
     for name in ("scalar_bounds", "ricci_bounds", "volume_sandwich", "monotone_scalar",
                  "einstein_closure"):
         assert res["checks"][name]["fail"] > 0, name
+    # every flow check is counted once per instance; on A1 every class is Einstein, so
+    # einstein_closure is too
+    for name in ("scalar_volume_identity", "ricci_identity_exact", "ricci_identity_fd",
+                 "scalar_bounds", "ricci_bounds", "volume_sandwich", "monotone_scalar",
+                 "volume_zero_at_T", "einstein_closure"):
+        assert sum(res["checks"][name].values()) == res["instances"], name
     first = res["first_counterexample"]
     assert (first["family"], first["theta"], first["b"]) == ("A", [], ["2"])
-    assert first["check"] == "scalar_volume_identity" and first["error"]
+    assert (first["check"], first["t"], first["root"]) == ("scalar_volume_identity", "2/3", 0)
 
 
 def test_usage_errors_exit_two(capsys):

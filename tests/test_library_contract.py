@@ -2,8 +2,8 @@
 every public function of rootsys, parabolic, flow, invariants, dimcount and oracle on
 A1-A3. Each call returns or raises DomainError with a short message; diameter_bound
 may raise OverflowError, as documented. Every oracle check on a flow returns
-outcomes, whose counterexamples hold exact values that json.dumps writes with
-errors.plain."""
+outcomes, on a flow whose P_beta vanishes before T too, and their counterexamples hold
+exact values that json.dumps writes with errors.plain."""
 
 import inspect
 import json
@@ -29,6 +29,12 @@ RATIONALS = (HUGE, Fraction(1, HUGE), BIG, TINY, -BIG, Fraction(-3, 2), 0, 1)
 INTEGERS = (HUGE, BIG, -HUGE, -1, 0, 2)
 MESSAGE_LIMIT = 700
 GT_BUDGET = 50
+# A1 flows of b = 2 on flags whose last a_beta is too large by 1 and by 2: P_beta(t) =
+# 2 - 3t vanishes at 2T/3, a time the identity checks sample, and 2 - 4t at T/2, a time
+# the finite-difference check samples
+_P1 = parabolic.build_flag(rootsys.build_root_system("A", 1), ())
+POLE_FLOWS = tuple(flow.make_flow(_P1._replace(a=_P1.a[:-1] + (_P1.a[-1] + k,)), (2,))
+                   for k in (1, 2))
 
 
 def public_functions() -> set[str]:
@@ -77,7 +83,8 @@ def calls(rank: int):
 
 
 def flag_calls(flag, b):
-    """Calls on one flag with one class or divisor b, and on its flow if b has one."""
+    """Calls on one flag with one class or divisor b, and on its flow if b has one; the
+    flow checks run on POLE_FLOWS too."""
     for name in ("require_length", "char_of_divisor", "is_ample", "require_ample"):
         yield name, lambda f=getattr(parabolic, name): f(flag, b)
     yield "is_integral", lambda: parabolic.is_integral(b)
@@ -100,7 +107,8 @@ def flag_calls(flag, b):
             yield name, lambda f=getattr(flow, name): f(fs, t)
     for name in ("check_scalar_volume_identity", "check_ricci_identity",
                  "check_trajectory_bounds"):
-        yield name, lambda f=getattr(oracle, name): f(fs)
+        for f_s in (fs, *POLE_FLOWS):
+            yield name, lambda f=getattr(oracle, name), f_s=f_s: f(f_s)
 
 
 def outcomes(result) -> list:
