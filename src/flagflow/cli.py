@@ -86,9 +86,10 @@ def _print(text: str) -> None:
 
 def parse_rational(text) -> Fraction:
     """A rational in _RATIONAL's grammar, which Fraction reads alike on every interpreter
-    once the underscores go; read_descriptor has refused the over-long ones."""
+    once the underscores go; read_descriptor has refused the over-long ones, and main
+    has lifted the digit limit for the rest."""
     if re.match(_RATIONAL, str(text)):
-        with contextlib.suppress(ZeroDivisionError), all_digits():
+        with contextlib.suppress(ZeroDivisionError):
             return Fraction(str(text).replace("_", "").strip())
     raise DomainError(f"not a rational number: {brief(repr(text))}")
 
@@ -162,12 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _integer(name: str, value) -> int:
-    try:
-        if isinstance(value, (int, str)) and not isinstance(value, bool):
-            with all_digits():  # at any length: the job cap and the argument limit bound it
-                return int(value)
-    except ValueError:
-        pass
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError):
+            return int(value)
     raise UsageError(f"{name} must be an integer, got {brief(repr(value))}")
 
 
@@ -213,11 +211,10 @@ READERS = {
 
 
 def _json_int(text: str) -> int | str:
-    """A JSON integer; past Python's digit limit it stays text, read as its string form."""
-    try:
-        return int(text)
-    except ValueError:
-        return text
+    """A JSON integer, kept as text past 4300 digits, sign not counted: CPython's
+    default limit, whatever the process's own limit is."""
+    digits = len(text) - text.startswith("-")
+    return text if digits > sys.int_info.default_max_str_digits else int(text)
 
 
 def _shown_path(path: str) -> str:
@@ -471,9 +468,8 @@ def _dispatch(args) -> int:
     if args.format == "csv":
         _write(output, _csv_text(result["samples"]))
         output += ".json"
-    with all_digits():
-        text = json.dumps({"input": desc, "result": result, "version": __version__},
-                          indent=2, default=plain)
+    text = json.dumps({"input": desc, "result": result, "version": __version__},
+                      indent=2, default=plain)
     if output is not None:
         _write(output, text + "\n")
     else:
@@ -486,7 +482,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         try:
-            return _dispatch(args)
+            # exact values are read and written at any length: the argument limit,
+            # MAX_JOB_BYTES, MAX_RATIONAL_CHARS and MAX_INPUT_BITS bound every conversion
+            with all_digits():
+                return _dispatch(args)
         except UsageError as exc:
             parser.error(str(exc))
     except SystemExit as exc:

@@ -938,11 +938,12 @@ USAGE_RUNNER = (
     " usage.ru_maxrss)\n")
 
 
-def usage(*argv):
-    """Exit code, CPU seconds, ru_maxrss (KiB) and stderr of `flagflow ARGV`."""
+def usage(*argv, **env):
+    """Exit code, CPU seconds, ru_maxrss (KiB) and stderr of `flagflow ARGV`, run with
+    the environment variables env set too."""
     proc = subprocess.run([sys.executable, "-S", "-c", USAGE_RUNNER, "-m", "flagflow.cli",
-                           *argv], capture_output=True, text=True, env=process_env(),
-                          timeout=60)
+                           *argv], capture_output=True, text=True,
+                          env={**process_env(), **env}, timeout=60)
     code, cpu, maxrss = proc.stdout.split()
     return int(code), float(cpu), int(maxrss), proc.stderr
 
@@ -1181,6 +1182,71 @@ def test_job_integers_past_4300_digits_are_read(capsys, tmp_path):
     write({"rank": 1, "class": [0], "t": "1"}, "9" * 140000)
     assert main(["flow", "--job", str(job)]) == 3
     assert "a value of 140000 characters is over the budget" in capsys.readouterr().err
+
+
+def test_a_job_prints_alike_whatever_the_process_digit_limit(capsys, tmp_path):
+    # a JSON integer stays text past CPython's default 4300 digits, whatever the process's
+    # limit: under PYTHONINTMAXSTRDIGITS=640 the 700-digit entry was echoed as a string
+    job = tmp_path / "job.json"
+
+    def write(sevens):
+        job.write_text('{"lie_family": "A", "rank": 2, "divisor": [1, ' + sevens + "]}")
+
+    for sevens, echoed in (("7" * 4300, int), ("7" * 4301, str)):
+        write(sevens)
+        with all_digits():  # dim V has about three times as many digits
+            doc = run_json(capsys, ["invariants", "--job", str(job)])
+        assert doc["input"]["divisor"] == [1, echoed(sevens)]
+    sevens = "7" * 700
+    write(sevens)
+    unset = {key: value for key, value in process_env().items()
+             if key != "PYTHONINTMAXSTRDIGITS"}
+    runs = set()
+    for env in (unset, {**unset, "PYTHONINTMAXSTRDIGITS": "640"},
+                {**unset, "PYTHONINTMAXSTRDIGITS": "0"}):
+        proc = subprocess.run([sys.executable, "-m", "flagflow.cli", "invariants", "--job",
+                               str(job)], capture_output=True, text=True, env=env, timeout=60)
+        runs.add((proc.returncode, proc.stdout, proc.stderr))
+    [(code, out, err)] = runs
+    assert (code, err) == (0, "")
+    assert json.loads(out)["input"]["divisor"] == [1, int(sevens)]
+
+
+def test_a_long_job_integer_is_priced_unread_under_any_digit_limit(tmp_path):
+    # with the limit off, json.loads read the 262000-digit integer before the size budget
+    # refused it: 1.385 s CPU, where 0.052 s refuses it under the default limit
+    job = tmp_path / "job.json"
+    job.write_text('{"lie_family":"A","rank":1,"class":[' + "9" * 262_000 + "]}")
+    assert job.stat().st_size == 262_038 <= cli.MAX_JOB_BYTES
+    code, cpu, _, err = usage("flow", "--job", str(job), PYTHONINTMAXSTRDIGITS="0")
+    assert (code, err) == (
+        3, "error: --class: a value of 262000 characters is over the budget of 131072\n")
+    assert cpu < 0.3, cpu
+
+
+def test_main_leaves_the_digit_limit_as_it_found_it(monkeypatch):
+    # main lifts the limit around one request and sets it back on every exit
+    def run(argv):
+        return main(argv), sys.get_int_max_str_digits()
+
+    def boom(*args, **kwargs):
+        raise AssertionError("planted")
+
+    config = oracle.SuiteConfig
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = [run(["describe", *P1]), run(["describe", "--rank", "1"]),
+               run(["describe", "--type", "A", "--rank", "0"])]
+        monkeypatch.setattr(oracle, "SuiteConfig", lambda seed: config(
+            types=(("A", 1),), classes_per_flag=1, seed=seed))
+        monkeypatch.setattr(oracle, "scalar_curvature", FAILING_CHECKS["scalar_curvature"])
+        got.append(run(["check", "--seed", "0"]))
+        monkeypatch.setattr("flagflow.cli.build_root_system", boom)
+        got.append(run(["describe", *P1]))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == [(0, 640), (2, 640), (3, 640), (1, 640), (4, 640)]
 
 
 def test_internal_assertion_exits_four(capsys, monkeypatch):

@@ -54,25 +54,31 @@ def test_only_the_writer_and_the_symbolic_radius_name_plain():
 
 def test_only_errors_and_the_cli_apply_the_digit_and_float_rules():
     # plain() writes rationals at any length and normal_float() is the one float rule;
-    # the CLI lifts the digit limit itself only to read input and to write raw ints
-    allowed = {"all_digits": {"cli.py", "errors.py"},
-               "set_int_max_str_digits": {"cli.py", "errors.py"},
+    # the CLI lifts the digit limit once, in main, around the whole request. A place is a
+    # module (anywhere in it), or a module and its imports or one top-level definition
+    allowed = {"all_digits": {"errors.py", ("cli.py", "import"), ("cli.py", "main")},
+               "set_int_max_str_digits": {"errors.py"},
                "float_info": {"errors.py"}}
     mentioned = {}
     for path in SOURCES:
-        names = mentioned[path.name] = set()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.update({node.name.rsplit(".", 1)[-1], node.asname})
-            elif isinstance(node, ast.FunctionDef):
-                names.add(node.name)
-    for name, files in allowed.items():
-        found = {module for module, names in mentioned.items() if name in names}
-        assert "errors.py" in found and found <= files, (name, sorted(found))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            imported = isinstance(top, (ast.Import, ast.ImportFrom))
+            place = (path.name, "import" if imported else getattr(top, "name", None))
+            names = mentioned.setdefault(place, set())
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.update({node.name.rsplit(".", 1)[-1], node.asname})
+                elif isinstance(node, ast.FunctionDef):
+                    names.add(node.name)
+    for name, places in allowed.items():
+        found = {place for place, names in mentioned.items() if name in names}
+        assert any(module == "errors.py" for module, _ in found), name
+        assert all(place in places or place[0] in places for place in found), (
+            name, sorted(found, key=str))
 
 
 def test_a_brief_result_is_never_escaped_again():

@@ -27,9 +27,12 @@ the index 1 71 times, and describe with --type X and flow with an empty --type, 
 a family is refused from a flag as from a job. The writing ones are a flow to a CSV
 file, which writes its JSON sidecar too, and a describe to a JSON file. The long ones are
 check with a 5000-digit --seed and a Borel invariants with a 5000-digit --lct-m, each
-read in full. The last ten give a negative value after its flag and after "=", five
+read in full. The next ten give a negative value after its flag and after "=", five
 pairs that exit alike: flow's --class -1,2 and --t -1/2, invariants' --divisor -1,1,
-describe's --theta -1,2 and check's --seed -1_0.
+describe's --theta -1,2 and check's --seed -1_0. The last two are jobs whose output
+must not depend on the process's digit limit (PYTHONINTMAXSTRDIGITS): an A2 invariants
+whose divisor is [1, 700 sevens], echoed as a JSON integer, and an A1 flow whose class
+is one 262000-digit JSON integer, refused by its length unread.
 
 Compare mode runs N pairs (default 10). Pair k runs one cycle of the cli-small and of
 the cli-large stream at seed k in the --base and in the --change tree, base first in even
@@ -69,7 +72,8 @@ GOLDEN = [DATA / "cli_golden.json", DATA / "cli_golden_check.json"]
 GRAMMAR_REQUEST = ["flow", "--type", "A", "--rank", "1", "--class", "1"]
 # job files written beside the golden one, as JSON or as the text given: the first two
 # carry fields their command does not take, the next three a family outside A-G, then
-# one over the byte cap and one whose rank is past Python's 4300-digit limit
+# one over the byte cap and one whose rank is past Python's 4300-digit limit; the last
+# two hold integers that a process's own digit limit once read otherwise
 JOBS = {
     "describe.json": {"lie_family": "A", "rank": 1, "class": ["1"], "t": "1/4"},
     "invariants.json": {"lie_family": "A", "rank": 1, "divisor": ["1"], "samples": 2,
@@ -79,6 +83,8 @@ JOBS = {
     "invariants-family.json": {"lie_family": "a", "rank": 2, "divisor": ["1", "1"]},
     "a70.json": {"lie_family": "A", "rank": 70, "class": ["9" * 131072] * 70},
     "describe-rank.json": '{"lie_family": "A", "rank": ' + "9" * 5000 + "}",
+    "divisor-700.json": '{"lie_family": "A", "rank": 2, "divisor": [1, ' + "7" * 700 + "]}",
+    "class-262000.json": '{"lie_family":"A","rank":1,"class":[' + "9" * 262_000 + "]}",
 }
 # (argv up to a flag, a negative value for it): a value after the flag as after "="
 NEGATIVE = [
@@ -160,6 +166,8 @@ def requests() -> list[tuple[str, list[str]]]:
     spelt = [form for (*argv, flag), value in NEGATIVE
              for form in ([*argv, flag, value], [*argv, f"{flag}={value}"])]
     out += [(f"negative {i}", argv) for i, argv in enumerate(spelt)]
+    out += [("digit limit 0", ["invariants", "--job", "divisor-700.json"]),
+            ("digit limit 1", ["flow", "--job", "class-262000.json"])]
     return out
 
 
